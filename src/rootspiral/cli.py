@@ -9,6 +9,7 @@ subcommand to the machine rendering.
 from __future__ import annotations
 
 import argparse
+import bisect
 import hashlib
 import math
 import sys
@@ -28,6 +29,33 @@ _AT_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 
 class SystemExit2(Exception):
     """Usage/configuration error: exits with status 2."""
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an integer >= lowest."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    return integer
+
+
+def _window_bounds(text: str) -> tuple[int, int]:
+    """An index window 'lo:hi' or 'lo..hi' (hi exclusive) as (lo, hi)."""
+    try:
+        lo, hi = (int(v) for v in text.split(".." if ".." in text else ":", 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"window must be lo:hi or lo..hi, got {text!r}") from None
+    return lo, hi
+
+
+def _window(text: str) -> str:
+    """argparse type: a valid index window, kept as typed for the report."""
+    _window_bounds(text)
+    return text
 
 
 def _resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
@@ -88,34 +116,32 @@ def cmd_constants(args: argparse.Namespace, fx: FixtureSet) -> Report:
     return report
 
 
-def _verify_system(report: Report, system, check_endings: bool = True) -> None:
+def _verify_system(report: Report, system) -> int:
+    """Check every arm of the system and its coefficient rules; returns the arms passed."""
+    passed = 0
     for arm in system.arms:
-        ok = True
         woes = []
         fit1 = newton_fit(1, arm.terms[:3])
         if fit1 != arm.fits[0]:
-            ok = False
             woes.append(f"newton fit gives {fit1}, table says {arm.fits[0]}")
         for m in range(1, len(arm.fits)):
             if shift(arm.fits[m - 1], 1) != arm.fits[m]:
-                ok = False
                 woes.append(f"shift does not reproduce fit {m + 1}")
         for x in range(1, len(arm.terms) + 1):
             if arm.poly(x) != arm.terms[x - 1]:
-                ok = False
                 woes.append(f"term {x} mismatch")
-        if check_endings:
-            period = residues.residue_cycle(arm.poly, 10).period
-            if period not in (1, 5):
-                ok = False
-                woes.append(f"mod-10 period {period}")
-        report.add(f"{system.name}/{arm.name}", ok, "; ".join(woes))
+        period = residues.residue_cycle(arm.poly, 10).period
+        if period not in (1, 5):
+            woes.append(f"mod-10 period {period}")
+        report.add(f"{system.name}/{arm.name}", not woes, "; ".join(woes))
+        passed += not woes
     rules = coefficient_rules_check(system)
     report.add(
         f"{system.name} coefficient rules",
         rules.ok,
         "; ".join(f"{f.arm}:{f.rule}" for f in rules.failures),
     )
+    return passed
 
 
 def cmd_verify_tables(args: argparse.Namespace, fx: FixtureSet) -> Report:
@@ -124,13 +150,7 @@ def cmd_verify_tables(args: argparse.Namespace, fx: FixtureSet) -> Report:
     for which in tables:
         systems = fx.table_systems(which)
         arms = sum(len(s.arms) for s in systems)
-        for system in systems:
-            _verify_system(report, system)
-        passed = sum(
-            1
-            for c in report.checks
-            if c.passed and "/" in c.name and any(c.name.startswith(s.name) for s in systems)
-        )
+        passed = sum(_verify_system(report, system) for system in systems)
         report.data[f"table {which}"] = f"{passed}/{arms} arms pass"
         if which == "7":
             _check_euler_split(report, fx)
@@ -181,20 +201,27 @@ def cmd_factors(args: argparse.Namespace, fx: FixtureSet) -> Report:
             value=comp.equal,
         )
     if args.window:
-        sep = ".." if ".." in args.window else ":"
-        lo, hi = (int(v) for v in args.window.split(sep, 1))
         rows = ["index,value,smallest_prime_factor"]
-        for x in range(lo, hi):
-            v = poly(x)
-            if v < 2:
-                spf = ""
-            elif factorlab.is_prime(v):
-                spf = "prime"
-            else:
-                spf = str(factorlab.factorize(v).smallest)
-            rows.append(f"{x},{v},{spf}")
+        for rec in factorlab.density_scan(poly, *_window_bounds(args.window)).records:
+            spf = "prime" if rec.prime else rec.factorization.smallest if rec.factorization else ""
+            rows.append(f"{rec.x},{rec.value},{spf}")
         report.data["occurrence_csv"] = "\n".join(rows)
     return report
+
+
+def _first_reaching(poly: QuadPoly, target: int, limit: int) -> int | None:
+    """The smallest x in [1, limit] with poly(x) >= target, or None.
+
+    poly is monotone on each side of its vertex, so each side either starts
+    at the target, rises to it (found by bisection) or never reaches it.
+    """
+    vertex = -poly.b // (2 * poly.a) if poly.a else 0
+    for lo, hi in ((1, min(vertex, limit)), (max(vertex + 1, 1), limit)):
+        if lo <= hi and poly(lo) >= target:
+            return lo
+        if lo <= hi and poly(hi) >= target:
+            return bisect.bisect_left(range(hi + 1), True, lo, key=lambda x: poly(x) >= target)
+    return None
 
 
 def _density_csv(dens: factorlab.DensityReport, poly: QuadPoly) -> str:
@@ -218,20 +245,14 @@ def cmd_density(args: argparse.Namespace, fx: FixtureSet) -> Report:
         (w for w in fx.windows if f"{w.system}/{w.arm}" == name and w.label == args.at), None
     )
     if window is not None:
-        x0 = window.start_x
-        length = args.len if args.len is not None else window.length
+        x0, default_len = window.start_x, window.length
+    elif args.at == "start":
+        x0, default_len = 1, 8
     else:
-        if args.at == "start":
-            x0 = 1
-        else:
-            target = int(float(args.at))
-            x0 = 1
-            while poly(x0) < target:
-                x0 += 1
-                if x0 > 10**8:
-                    raise SystemExit2(f"{name} never reaches {args.at}")
-        length = args.len if args.len is not None else 8
-    dens = factorlab.density_scan(poly, x0, x0 + length, threads=args.threads)
+        x0, default_len = _first_reaching(poly, int(float(args.at)), 10**8), 8
+        if x0 is None:
+            raise SystemExit2(f"{name} never reaches {args.at}")
+    dens = factorlab.density_scan(poly, x0, x0 + (args.len or default_len))
     report.data["csv"] = _density_csv(dens, poly)
     report.data["prime_share"] = round(dens.prime_share, 6)
     report.data["coprime30_share"] = round(dens.coprime_share, 6)
@@ -332,10 +353,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="emit the JSON report")
     p.add_argument("--out", default=argparse.SUPPRESS,
                    help="write the report (or SVG) to this path")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="seed for randomized drivers")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                   help="worker threads for scans")
     p.add_argument("--fixture-file", default=argparse.SUPPRESS,
                    help="alternate fixture file (defaults to bundled data)")
 
@@ -347,13 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--fixture-file", default=None)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("constants", help="verify the geometric constants")
-    p.add_argument("--k", type=int, default=10**6, help="truncation index for the angle sums")
+    p.add_argument("--k", type=_int_at_least(2), default=10**6,
+                   help="truncation index for the angle sums")
     _add_common(p)
 
     p = sub.add_parser("verify-tables", help="re-derive the polynomial tables")
@@ -362,31 +378,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factors", help="admissible primes and factor periods of an arm")
     p.add_argument("arm", help="arm name (B3, P20-G1) or coefficients a,b,c")
-    p.add_argument("--bound", type=int, default=100)
-    p.add_argument("--window", default=None, help="index window lo:hi for the occurrence table")
+    p.add_argument("--bound", type=_int_at_least(2), default=100)
+    p.add_argument("--window", type=_window, default=None,
+                   help="index window lo:hi for the occurrence table")
     p.add_argument("--compare", default=None, help="second arm for a same-splitting comparison")
     _add_common(p)
 
     p = sub.add_parser("density", help="prime density over a spot-check window")
     p.add_argument("arm")
     p.add_argument("--at", choices=_AT_LABELS, default="start")
-    p.add_argument("--len", type=int, default=None, help="window length (default from fixture)")
+    p.add_argument("--len", type=_int_at_least(1), default=None,
+                   help="window length (default from fixture)")
     _add_common(p)
 
     p = sub.add_parser("residues", help="ending cycles and digit-sum profile of an arm")
     p.add_argument("arm")
-    p.add_argument("--terms", type=int, default=25)
+    p.add_argument("--terms", type=_int_at_least(5), default=25)
     _add_common(p)
 
-    p = sub.add_parser("detect", help="detect a one-wind arm chain from a seed")
-    p.add_argument("--seed-n", dest="seed_n", type=int, required=True, help="first chain value")
+    # no abbreviations here, so that a stray --seed is an error, not --seed-n
+    p = sub.add_parser("detect", help="detect a one-wind arm chain from a seed", allow_abbrev=False)
+    p.add_argument("--seed-n", dest="seed_n", type=_int_at_least(1), required=True,
+                   help="first chain value")
     p.add_argument("--d2", type=int, choices=(18, 20, 22), required=True)
-    p.add_argument("--length", type=int, default=6)
+    p.add_argument("--length", type=_int_at_least(2), default=6)
     _add_common(p)
 
     p = sub.add_parser("plot", help="emit a deterministic SVG")
     p.add_argument("what", choices=("sqrt-spiral", "number-spiral", "ulam", "arms", "fig7"))
-    p.add_argument("--n", type=int, default=300)
+    p.add_argument("--n", type=_int_at_least(1), default=300)
     p.add_argument("--system", default=None, help="arm system for 'arms'")
     _add_common(p)
     return parser
@@ -413,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         report = _DISPATCH[args.cmd](args, fx)
-    except SystemExit2 as exc:
+    except (SystemExit2, OverflowError) as exc:  # overflow: an input outside the exact range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rendered = report.to_json() if args.json else report.to_text()

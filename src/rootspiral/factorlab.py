@@ -11,7 +11,6 @@ give a gap pair summing to q.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ VALUE_LIMIT = 1 << 63
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
 # primality for every n below 3.3e24, far past the 2^64 contract.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_TRIAL_PRIMES: tuple[int, ...] = ()
 
 
 class ChainNotFoundError(ValueError):
@@ -44,11 +41,7 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-def _trial_primes() -> tuple[int, ...]:
-    global _TRIAL_PRIMES
-    if not _TRIAL_PRIMES:
-        _TRIAL_PRIMES = tuple(primes_up_to(1000))
-    return _TRIAL_PRIMES
+_TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def is_prime(n: int) -> bool:
@@ -57,7 +50,7 @@ def is_prime(n: int) -> bool:
         raise ValueError(f"n must be >= 1, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -131,7 +124,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"n must be >= 2, got {n}")
     remaining = n
     found: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > remaining:
             break
         while remaining % p == 0:
@@ -139,9 +132,7 @@ def factorize(n: int) -> Factorization:
             remaining //= p
     stack = [remaining] if remaining > 1 else []
     while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
+        m = stack.pop()  # > 1: rho splits m into two factors, each > 1
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
@@ -317,12 +308,8 @@ def _scan_one(p: QuadPoly, x: int) -> TermRecord:
     return TermRecord(x=x, value=v, prime=prime, factorization=fac, coprime30=math.gcd(v, 30) == 1)
 
 
-def density_scan(p: QuadPoly, x0: int, x1: int, threads: int = 1) -> DensityReport:
-    """Per-term primality/factorization report for x in [x0, x1).
-
-    The window may be partitioned across threads; records are merged in
-    index order, so the result is identical to a sequential scan.
-    """
+def density_scan(p: QuadPoly, x0: int, x1: int) -> DensityReport:
+    """Per-term primality/factorization report for x in [x0, x1)."""
     if x1 > x0:
         extremes = [p(x0), p(x1 - 1)]
         if p.a != 0:
@@ -331,12 +318,7 @@ def density_scan(p: QuadPoly, x0: int, x1: int, threads: int = 1) -> DensityRepo
                 extremes.extend((p(vertex), p(vertex + 1)))
         if max(abs(v) for v in extremes) > VALUE_LIMIT:
             raise OverflowError(f"values exceed 2^63 in window [{x0}, {x1})")
-    xs = range(x0, x1)
-    if threads > 1 and len(xs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(lambda x: _scan_one(p, x), xs))
-    else:
-        records = tuple(_scan_one(p, x) for x in xs)
+    records = tuple(_scan_one(p, x) for x in range(x0, x1))
     return DensityReport(poly=p, x0=x0, x1=x1, records=records)
 
 

@@ -7,10 +7,11 @@ output, so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from . import factorlab, numberspiral, spiral
-from .quad import ArmSystem
+from .quad import ArmSystem, QuadPoly
 
 _PALETTE = ("#d4442c", "#2c6fd4", "#2ca05a", "#b06fd4", "#d49a2c", "#2cb5b5")
 
@@ -63,6 +64,14 @@ class _Canvas:
 def _sqrt_xy(n: int) -> tuple[float, float]:
     pt = spiral.polar_of(n)
     return pt.radius * math.cos(pt.angle_total), pt.radius * math.sin(pt.angle_total)
+
+
+def _arm_polyline(cv: _Canvas, poly: QuadPoly, n_max: int, stroke: str, width: float) -> None:
+    """The arm's values f(1), f(2), ... up to n_max, joined on the spiral."""
+    values = itertools.takewhile(lambda v: v <= n_max, map(poly, itertools.count(1)))
+    pts = [_sqrt_xy(v) for v in values]
+    if len(pts) >= 2:
+        cv.polyline(pts, stroke, width)
 
 
 def plot_sqrt_spiral(n: int, size: float = 800.0) -> str:
@@ -121,13 +130,7 @@ def plot_arms(system: ArmSystem, n_max: int, size: float = 800.0) -> str:
         else:
             cv.circle(x, y, 0.8, "#cccccc")
     for i, arm in enumerate(system.arms):
-        pts = []
-        x = 1
-        while arm.poly(x) <= n_max:
-            pts.append(_sqrt_xy(arm.poly(x)))
-            x += 1
-        if len(pts) >= 2:
-            cv.polyline(pts, _PALETTE[i % len(_PALETTE)], 1.4)
+        _arm_polyline(cv, arm.poly, n_max, _PALETTE[i % len(_PALETTE)], 1.4)
     return cv.render()
 
 
@@ -141,11 +144,5 @@ def plot_fig7(n_max: int, k5_poly, size: float = 800.0) -> str:
                 x, y = _sqrt_xy(k)
                 cv.circle(x, y, 2.0, color)
                 break
-    pts = []
-    x = 1
-    while k5_poly(x) <= n_max:
-        pts.append(_sqrt_xy(k5_poly(x)))
-        x += 1
-    if len(pts) >= 2:
-        cv.polyline(pts, "#d4442c", 1.6)
+    _arm_polyline(cv, k5_poly, n_max, "#d4442c", 1.6)
     return cv.render()

@@ -1,10 +1,13 @@
 """CLI: subcommand behaviour, exit codes, deterministic output."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
 
-from rootspiral.cli import main
+from rootspiral.cli import _first_reaching, main
+from rootspiral.quad import QuadPoly
 
 
 def run(capsys, *argv):
@@ -85,11 +88,17 @@ class TestFactors:
         assert "identical" in out
 
     def test_k5_window_occurrences(self, capsys):
-        code, out = run(capsys, "factors", "K5", "--bound", "37", "--window", "1:7")
+        code, out = run(capsys, "--json", "factors", "K5", "--bound", "37", "--window", "1:7")
         assert code == 0
-        assert "2,49,7" in out
-        assert "4,187,11" in out
-        assert "5,289,17" in out
+        assert json.loads(out)["data"]["occurrence_csv"] == "\n".join([
+            "index,value,smallest_prime_factor",
+            "1,13,prime",
+            "2,49,7",
+            "3,107,prime",
+            "4,187,11",
+            "5,289,17",
+            "6,413,7",
+        ])
 
     def test_window_dotdot_syntax(self, capsys):
         code, out = run(capsys, "factors", "K5", "--bound", "37", "--window", "1..6")
@@ -123,6 +132,20 @@ class TestDensity:
         code, out = run(capsys, "density", "A3", "--at", "2.5e6", "--len", "3")
         assert code == 0
         assert ",18" in out  # second-difference column
+
+    def test_literal_poly_starts_at_first_value_reaching_target(self, capsys):
+        code, out = run(capsys, "--json", "density", "1,0,0", "--at", "2.5e6", "--len", "1")
+        assert code == 0
+        assert json.loads(out)["data"]["csv"].splitlines()[1].startswith("1582,2502724,")
+
+    def test_first_reaching_matches_linear_search(self):
+        limit = 40
+        for a, b, c, target in itertools.product(
+            (-2, -1, 0, 1, 3), (-31, -7, 0, 5), (-10, 0, 4), (-2000, -20, 0, 7, 50, 10**6)
+        ):
+            poly = QuadPoly(a, b, c)
+            expected = next((x for x in range(1, limit + 1) if poly(x) >= target), None)
+            assert _first_reaching(poly, target, limit) == expected, (poly, target)
 
 
 class TestResidues:
@@ -172,12 +195,18 @@ class TestPlot:
         capsys.readouterr()
         assert code == 0
         assert out.read_text().count("<polyline") >= 12
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2e5ab19cbf58b355a29514741f2007485a651245277e63fe21e7b5d961fc6f9a"
+        )
 
     def test_fig7(self, capsys, tmp_path):
         out = tmp_path / "f7.svg"
         assert main(["plot", "fig7", "--n", "600", "--out", str(out)]) == 0
         capsys.readouterr()
         assert "polyline" in out.read_text()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0d048e2c84a28aaf9ed24e2e3bffcd0ced082eee40fc53edb932f0fcdf41eedc"
+        )
 
     def test_point_budget(self, capsys, tmp_path):
         code = main(["plot", "ulam", "--n", "200001", "--out", str(tmp_path / "x.svg")])
@@ -201,6 +230,35 @@ class TestUsageErrors:
     def test_ambiguous_arm_is_config_error(self, capsys):
         assert main(["factors", "G1"]) == 2
         assert "ambiguous" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factors", "B3", "--bound", "1"),
+            ("factors", "B3", "--window", "abc"),
+            ("factors", "B3", "--window", "1:2:3"),
+            ("factors", "1,0,0", "--window", "3100000000:3100000002"),  # values pass 2^63
+            ("constants", "--k", "1"),
+            ("plot", "ulam", "--n", "-5"),
+            ("detect", "--seed-n", "0", "--d2", "18"),
+            ("density", "B3", "--len", "-3"),
+            ("density", "0,0,5", "--at", "2.5e6"),  # never reaches the target
+            ("--threads", "2", "constants"),
+            ("constants", "--threads", "2"),
+            ("--seed", "1", "constants"),
+            ("detect", "--seed", "1", "--seed-n", "17", "--d2", "18"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_arguments_exit_2_without_traceback(self, capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "error: " in err.splitlines()[-1]
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -244,11 +244,6 @@ class TestDensityScan:
         assert rep.records[1].value == 2500550027
         assert str(rep.records[1].factorization) == "29*2731*31573"
 
-    def test_threads_bit_identical(self):
-        a = density_scan(Q3, 1, 40, threads=1)
-        b = density_scan(Q3, 1, 40, threads=4)
-        assert a.records == b.records
-
     def test_range_guard(self):
         with pytest.raises(OverflowError):
             density_scan(B3, 1, 2 * 10**9)
