@@ -31,13 +31,15 @@ class SystemExit2(Exception):
     """Usage/configuration error: exits with status 2."""
 
 
-def _int_at_least(lowest: int):
-    """argparse type: an integer >= lowest."""
+def _int_at_least(lowest: int, highest: int | None = None):
+    """argparse type: an integer >= lowest (and <= highest, if given)."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(f"must be <= {highest}, got {value}")
         return value
 
     return integer
@@ -229,10 +231,8 @@ def _density_csv(dens: factorlab.DensityReport, poly: QuadPoly) -> str:
     for rec in dens.records:
         factors = "" if rec.factorization is None else str(rec.factorization)
         first = poly.first_difference(rec.x - 1)  # difference from the previous row
-        rows.append(
-            f"{rec.x},{rec.value},{int(rec.prime)},{factors},"
-            f"{residues.digit_sum(rec.value)},{first},{poly.d2}"
-        )
+        sd = residues.digit_sum(rec.value) if rec.value >= 0 else ""  # undefined below 0
+        rows.append(f"{rec.x},{rec.value},{int(rec.prime)},{factors},{sd},{first},{poly.d2}")
     return "\n".join(rows)
 
 
@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("constants", help="verify the geometric constants")
-    p.add_argument("--k", type=_int_at_least(2), default=10**6,
+    # total_angle's 1e-10 accuracy is stated out to 1e8
+    p.add_argument("--k", type=_int_at_least(2, 10**8), default=10**6,
                    help="truncation index for the angle sums")
     _add_common(p)
 
@@ -378,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factors", help="admissible primes and factor periods of an arm")
     p.add_argument("arm", help="arm name (B3, P20-G1) or coefficients a,b,c")
-    p.add_argument("--bound", type=_int_at_least(2), default=100)
+    # 1e7 already takes ~19 s; at 1e12 the prime sieve runs out of memory
+    p.add_argument("--bound", type=_int_at_least(2, 10**7), default=100)
     p.add_argument("--window", type=_window, default=None,
                    help="index window lo:hi for the occurrence table")
     p.add_argument("--compare", default=None, help="second arm for a same-splitting comparison")

@@ -64,82 +64,62 @@ def angle_increment(n: int) -> float:
     return math.atan(1.0 / math.sqrt(n))
 
 
-class _AnglePrefix:
-    """Memoized prefix sums of the angle increments.
-
-    ``prefix[i]`` holds sum_{k=1}^{i} arctan(1/sqrt(k)), accumulated with
-    Neumaier compensation so the table stays within ~1e-12 rad of exact.
-    The table is grown under a lock and only ever appended to, so readers
-    may use it concurrently once a prefix exists.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._prefix = [0.0]
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def extend_to(self, n: int) -> None:
-        if n < len(self._prefix):
-            return
-        with self._lock:
-            lo = len(self._prefix)
-            if n < lo:
-                return
-            incs = np.arctan(1.0 / np.sqrt(np.arange(lo, n + 1, dtype=np.float64)))
-            s, comp = self._sum, self._comp
-            out = []
-            for v in incs.tolist():
-                t = s + v
-                if abs(s) >= abs(v):
-                    comp += (s - t) + v
-                else:
-                    comp += (v - t) + s
-                s = t
-                out.append(s + comp)
-            self._prefix.extend(out)
-            self._sum, self._comp = s, comp
-
-    def covers(self, n: int) -> bool:
-        return n < len(self._prefix)
-
-    def value(self, n: int) -> float:
-        return self._prefix[n]
-
-    def as_array(self, n: int) -> np.ndarray:
-        """Prefix table up to index n as an array (for bulk checks)."""
-        self.extend_to(n)
-        return np.asarray(self._prefix[: n + 1])
+def _increments(lo: int, hi: int) -> np.ndarray:
+    """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64."""
+    return np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64)))
 
 
-_TABLE = _AnglePrefix()
+# _prefix[i] holds sum_{k=1}^{i} arctan(1/sqrt(k)), correctly rounded.  Below
+# _AUTO_TABLE_LIMIT every increment is >= 2^-11, hence an exact multiple of
+# 2^-64: it splits exactly into whole units of 2^-30 and of 2^-64, whose
+# running int64 sums (_units) are exact, and one float addition per entry
+# rounds the exact prefix once.  The table is grown under _lock and published
+# by rebinding _prefix, so readers index the array they fetched without it.
+_lock = threading.Lock()
+_prefix = np.zeros(1)
+_units = (0, 0)
+
+
+def _prefix_table(n: int) -> np.ndarray:
+    """The prefix table, grown to cover index n (n < _AUTO_TABLE_LIMIT)."""
+    global _prefix, _units
+    table = _prefix
+    if n < len(table):
+        return table
+    with _lock:
+        table = _prefix
+        if n < len(table):
+            return table
+        # at least double, so that copying the old entries stays O(1) per entry
+        size = min(max(n + 1, 2 * len(table)), _AUTO_TABLE_LIMIT)
+        fine, coarse = np.modf(np.ldexp(_increments(len(table), size), 30))
+        coarse = np.cumsum(coarse.astype(np.int64)) + _units[0]
+        fine = np.cumsum(np.ldexp(fine, 34).astype(np.int64)) + _units[1]
+        values = np.ldexp(coarse + (fine >> 34), -30) + np.ldexp(fine & ((1 << 34) - 1), -64)
+        _prefix, _units = np.concatenate([table, values]), (int(coarse[-1]), int(fine[-1]))
+        return _prefix
 
 
 def _streamed_angle(n1: int, n2: int) -> float:
     """sum_{k=n1}^{n2-1} arctan(1/sqrt(k)) by chunked pairwise summation."""
     parts = []
     for a in range(n1, n2, _STREAM_CHUNK):
-        b = min(a + _STREAM_CHUNK, n2)
-        ks = np.arange(a, b, dtype=np.float64)
-        parts.append(float(np.sum(np.arctan(1.0 / np.sqrt(ks)))))
+        parts.append(float(np.sum(_increments(a, min(a + _STREAM_CHUNK, n2)))))
     return math.fsum(parts)
 
 
 def total_angle(n: int) -> float:
     """Cumulative angle of ray sqrt(n): sum_{k=1}^{n-1} arctan(1/sqrt(k)).
 
-    Compensated summation throughout; absolute error stays below 1e-10 rad
-    out to n = 1e8 (measured against mpmath).  Small n hit a memoized
-    prefix table, large n run a one-off streamed sum.
+    Correctly rounded for n <= 2.2e6, read from an exact prefix table grown
+    on demand; beyond that a one-off streamed sum whose absolute error stays
+    below 1e-10 rad out to n = 1e8 (measured against mpmath).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if _TABLE.covers(n - 1):
-        return _TABLE.value(n - 1)
-    if n <= _AUTO_TABLE_LIMIT:
-        _TABLE.extend_to(n - 1)
-        return _TABLE.value(n - 1)
-    return _streamed_angle(1, n)
+    if n > _AUTO_TABLE_LIMIT:
+        return _streamed_angle(1, n)
+    return float(_prefix_table(n - 1)[n - 1])
 
 
 def angle_between(n1: int, n2: int) -> float:
@@ -154,11 +134,11 @@ def angle_between(n1: int, n2: int) -> float:
     return _streamed_angle(n1, n2)
 
 
-def _tail(n: float, terms: int) -> float:
-    return sum(c * n**e for c, e in _TAIL_COEFFS[:terms])
+def _tail(n: float) -> float:
+    return sum(c * n**e for c, e in _TAIL_COEFFS)
 
 
-def total_angle_fast(n: int, terms: int = 3) -> float:
+def total_angle_fast(n: int) -> float:
     """Asymptotic total angle 2*sqrt(n) + c2 - tail(n).
 
     Agrees with total_angle to well below 1e-8 rad for n >= 1e4 (validated
@@ -168,12 +148,10 @@ def total_angle_fast(n: int, terms: int = 3) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if n < 10_000:
         return total_angle(n)
-    if not 1 <= terms <= len(_TAIL_COEFFS):
-        raise ValueError(f"terms must be in [1, {len(_TAIL_COEFFS)}]")
-    return 2.0 * math.sqrt(n) + C2 - _tail(float(n), terms)
+    return 2.0 * math.sqrt(n) + C2 - _tail(float(n))
 
 
-def estimate_c2(k: int, accelerate: bool = True, terms: int = 3) -> float:
+def estimate_c2(k: int, accelerate: bool = True) -> float:
     """Estimate the spiral constant from the angle sum truncated at k.
 
     Raw mode returns total_angle(k) - 2*sqrt(k), which converges from
@@ -186,7 +164,7 @@ def estimate_c2(k: int, accelerate: bool = True, terms: int = 3) -> float:
     raw = total_angle(k) - 2.0 * math.sqrt(k)
     if not accelerate:
         return raw
-    return raw + _tail(float(k), terms)
+    return raw + _tail(float(k))
 
 
 def polar_of(n: int) -> SpiralPoint:
@@ -198,30 +176,19 @@ def polar_of(n: int) -> SpiralPoint:
 def winding_gap(n: int) -> float:
     """Radial distance between wind w(n) and the next wind at the same bearing.
 
-    Locates, by bisection on the piecewise-linear extension of the strictly
-    monotone total_angle, the fractional index m with
-    total_angle(m) = total_angle(n) + 2*pi, and returns sqrt(m) - sqrt(n).
-    Tends to pi (from above) as n grows.
+    Finds, on the piecewise-linear extension of the strictly monotone
+    total_angle, the fractional index m with total_angle(m) =
+    total_angle(n) + 2*pi, and returns sqrt(m) - sqrt(n).  Tends to pi
+    (from above) as n grows.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    # One extra wind spans ~2*pi*sqrt(n) + pi^2 indices; pad the bracket.
+    # One extra wind spans ~2*pi*sqrt(n) + pi^2 indices; pad the range.
     span = int(math.ceil(TWO_PI * math.sqrt(n))) + 16
-    incs = np.arctan(1.0 / np.sqrt(np.arange(n, n + span, dtype=np.float64)))
+    incs = _increments(n, n + span)
     cum = np.concatenate([[0.0], np.cumsum(incs)])
-    lo, hi = 0.0, float(span)
-
-    def rel_angle(x: float) -> float:
-        i = min(int(x), span - 1)
-        return float(cum[i]) + (x - i) * float(incs[i])
-
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if rel_angle(mid) < TWO_PI:
-            lo = mid
-        else:
-            hi = mid
-    m = n + 0.5 * (lo + hi)
+    i = int(np.searchsorted(cum, TWO_PI)) - 1  # cum[i] < 2*pi <= cum[i + 1]
+    m = n + (i + (TWO_PI - float(cum[i])) / float(incs[i]))
     return math.sqrt(m) - math.sqrt(n)
 
 

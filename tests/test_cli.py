@@ -138,6 +138,16 @@ class TestDensity:
         assert code == 0
         assert json.loads(out)["data"]["csv"].splitlines()[1].startswith("1582,2502724,")
 
+    def test_negative_values_leave_digit_sum_empty(self, capsys):
+        code, out = run(capsys, "--json", "density", "--at", "start", "--", "-1,0,5")
+        assert code == 0
+        assert "3,-4,0,,,-5,-2" in json.loads(out)["data"]["csv"].splitlines()
+
+    def test_negative_leading_literal_after_double_dash(self, capsys):
+        code, out = run(capsys, "--json", "density", "--at", "start", "--", "-1,0,5000000")
+        assert code == 0
+        assert json.loads(out)["data"]["csv"].splitlines()[1].startswith("1,4999999,")
+
     def test_first_reaching_matches_linear_search(self):
         limit = 40
         for a, b, c, target in itertools.product(
@@ -235,10 +245,12 @@ class TestUsageErrors:
         "argv",
         [
             ("factors", "B3", "--bound", "1"),
+            ("factors", "B3", "--bound", "1000000000000"),
             ("factors", "B3", "--window", "abc"),
             ("factors", "B3", "--window", "1:2:3"),
             ("factors", "1,0,0", "--window", "3100000000:3100000002"),  # values pass 2^63
             ("constants", "--k", "1"),
+            ("constants", "--k", "100000000000"),
             ("plot", "ulam", "--n", "-5"),
             ("detect", "--seed-n", "0", "--d2", "18"),
             ("density", "B3", "--len", "-3"),

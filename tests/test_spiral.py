@@ -3,6 +3,7 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,36 @@ PI = math.pi
 def arctan_series(x: float, terms: int = 60) -> float:
     """Taylor oracle for arctan on |x| < 1, independent of math.atan."""
     return math.fsum((-1) ** k * x ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
+
+
+def fsum_angle(n: int) -> float:
+    """Correctly rounded sum of the float64 increments for k = 1 .. n-1."""
+    return math.fsum(np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64))).tolist())
+
+
+def mp_winding_gap(n: int) -> float:
+    """Winding gap from increments and a piecewise-linear root in 30 digits."""
+    with mpmath.workdps(30):
+        target, turned, k = 2 * mpmath.pi, mpmath.mpf(0), n
+        while True:
+            inc = mpmath.atan(1 / mpmath.sqrt(k))
+            if turned + inc >= target:
+                m = k + (target - turned) / inc
+                return float(mpmath.sqrt(m) - mpmath.sqrt(n))
+            turned += inc
+            k += 1
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Empty the prefix table now and on each call; the shared one is restored afterwards."""
+
+    def empty():
+        monkeypatch.setattr(spiral, "_prefix", np.zeros(1))
+        monkeypatch.setattr(spiral, "_units", (0, 0))
+
+    empty()
+    return empty
 
 
 class TestAngleIncrement:
@@ -58,11 +89,37 @@ class TestTotalAngle:
     def test_increment_consistency_over_table(self):
         # total_angle(n+1) - total_angle(n) equals the increment to within
         # the float64 quantization of the running total
-        prefix = spiral._TABLE.as_array(10**6)
+        prefix = spiral._prefix_table(10**6)[: 10**6 + 1]
         incs = np.arctan(1.0 / np.sqrt(np.arange(1, 10**6 + 1, dtype=np.float64)))
         err = np.abs(np.diff(prefix) - incs)
         assert float(np.max(err / np.maximum(1.0, prefix[1:]))) < 1e-12
         assert bool(np.all(np.diff(prefix) > 0))  # strictly increasing
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 4097, 65536, 1_000_001, 2_200_000])
+    def test_table_is_correctly_rounded(self, n):
+        assert spiral.total_angle(n) == fsum_angle(n)
+
+    def test_correctly_rounded_around_each_growth(self, empty_table):
+        for n in (2, 5, 40, 1000, 70_000):
+            spiral.total_angle(n)
+            size = len(spiral._prefix)
+            # the last entry of this growth and the first of the next
+            for m in (size, size + 1, size + 2):
+                assert spiral.total_angle(m) == fsum_angle(m), m
+
+    def test_staged_growth_equals_one_step(self, empty_table):
+        for n in (1, 2, 3, 7, 5000, 123_457, 10**6, 2_200_000):
+            spiral.total_angle(n)
+        staged = spiral._prefix
+        empty_table()
+        one_step = spiral._prefix_table(2_199_999)
+        assert len(staged) == len(one_step) == 2_200_000
+        assert np.array_equal(staged, one_step)
+
+    def test_returns_python_float(self):
+        for n in (1000, spiral._AUTO_TABLE_LIMIT + 1):  # table and streamed
+            assert type(spiral.total_angle(n)) is float
+        assert type(spiral.polar_of(1000).angle_total) is float
 
     def test_streamed_matches_table(self):
         n = 50_000
@@ -77,12 +134,6 @@ class TestTotalAngleFast:
 
     def test_below_threshold_falls_back_to_direct(self):
         assert spiral.total_angle_fast(100) == spiral.total_angle(100)
-
-    def test_tail_terms_parameter(self):
-        full = spiral.total_angle(10**5)
-        for terms in (1, 2, 3):
-            tol = (1e-5, 1e-8, 1e-8)[terms - 1]
-            assert abs(spiral.total_angle_fast(10**5, terms=terms) - full) < tol
 
 
 class TestEstimateC2:
@@ -141,6 +192,10 @@ class TestWindingGap:
 
     def test_medium_n(self):
         assert abs(spiral.winding_gap(10**4) - PI) < 0.01
+
+    @pytest.mark.parametrize("n", [100, 10**4, 10**6])
+    def test_matches_mpmath_root(self, n):
+        assert abs(spiral.winding_gap(n) - mp_winding_gap(n)) < 1e-12
 
     def test_approaches_pi_from_above(self):
         gaps = [spiral.winding_gap(n) for n in (100, 1000, 10**4, 10**5)]
