@@ -19,8 +19,10 @@ from .quad import QuadPoly
 VALUE_LIMIT = 1 << 63
 
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
-# primality for every n below 3.3e24, far past the 2^64 contract.
+# primality for every n below _MR_LIMIT (OEIS A014233(12)), the least strong
+# pseudoprime to all of them, = 399165290221 * 798330580441 ~ 3.19e23.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
 
 
 class ChainNotFoundError(ValueError):
@@ -43,7 +45,12 @@ _TRIAL_PRIMES = tuple(primes_up_to(1000))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all 64-bit inputs."""
+    """Deterministic Miller-Rabin; exact for every n below _MR_LIMIT ~ 3.19e23.
+
+    A 'composite' answer is exact for every n.  From _MR_LIMIT =
+    318665857834031151167461 on, the first n that the twelve witnesses
+    wrongly call prime, an n that passes them all raises OverflowError.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n < 2:
@@ -64,6 +71,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise OverflowError(f"is_prime can prove primality only below {_MR_LIMIT}, got {n}")
     return True
 
 
@@ -117,7 +126,12 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization by trial division plus Pollard rho."""
+    """Complete prime factorization by trial division plus Pollard rho.
+
+    Raises OverflowError when a cofactor at or above is_prime's exact range
+    passes every Miller-Rabin witness; cofactors there that fail a witness
+    are split as below it.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     remaining = n
@@ -352,6 +366,11 @@ def _chain_values(seed: int, delta1: int, d2: int, count: int) -> list[int]:
     return vals
 
 
+def _drift(vals: list[int], i: int) -> float:
+    """Angle of chain step i minus one full wind, by the direct-summation oracle."""
+    return spiral.angle_between(vals[i], vals[i + 1]) - spiral.TWO_PI
+
+
 def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     """Find the arm chain of the given second difference starting at seed.
 
@@ -362,7 +381,8 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     per-step angle tends to sqrt(2*d2) radians, so one-wind-per-step chains
     need sqrt(2*d2) near 2*pi, i.e. d2 near 2*pi^2 ~ 19.7; that is why the
     observed prime-rich chains carry d2 in {18, 20, 22}.  Candidates whose
-    drift ever reaches a quarter wind are discarded.
+    drift reaches a quarter wind within those ten steps are discarded; the
+    drifts of later steps are computed for the best candidate only.
     """
     if seed < 1:
         raise ValueError(f"seed must be >= 1, got {seed}")
@@ -372,26 +392,25 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     lo = max(2, int(math.ceil(base - _DELTA_WINDOW)))
     lo += lo % 2
     hi = int(math.floor(base + _DELTA_WINDOW))
-    steps = max(_SCORE_STEPS, length - 1)
+    count = max(_SCORE_STEPS + 1, length)
     candidates = []
     for delta1 in range(lo, hi + 1, 2):
-        vals = _chain_values(seed, delta1, d2, steps + 1)
-        drifts = [
-            spiral.angle_between(vals[i], vals[i + 1]) - spiral.TWO_PI for i in range(steps)
-        ]
-        score = max(abs(d) for d in drifts[:_SCORE_STEPS])
+        vals = _chain_values(seed, delta1, d2, count)
+        drifts = [_drift(vals, i) for i in range(_SCORE_STEPS)]
+        score = max(abs(d) for d in drifts)
         if score < math.pi / 2.0:
             candidates.append((score, delta1, vals, drifts))
     if not candidates:
         raise ChainNotFoundError(f"no admissible first step near 2*pi*sqrt({seed})")
     candidates.sort(key=lambda item: (item[0], item[1]))
-    best = candidates[0]
+    _, delta1, vals, drifts = candidates[0]
+    drifts += [_drift(vals, i) for i in range(_SCORE_STEPS, length - 1)]
     return ArmChain(
         seed=seed,
         d2=d2,
-        delta1=best[1],
-        values=tuple(best[2][:length]),
-        drifts=tuple(best[3][: length - 1]),
+        delta1=delta1,
+        values=tuple(vals[:length]),
+        drifts=tuple(drifts[: length - 1]),
         candidates=tuple(
             ChainCandidate(delta1=d1, score=s, values=tuple(v[:length]))
             for s, d1, v, _ in candidates

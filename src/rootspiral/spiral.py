@@ -5,7 +5,10 @@ sqrt(n), and attaching triangle n turns the outer ray by arctan(1/sqrt(n)).
 This module computes per-triangle angles, high-accuracy cumulative angles,
 the asymptotic angle constant, polar placement of any natural number, and
 the classical limit quantities (winding gap -> pi, square-to-square angle
--> 360/pi degrees).
+-> 360/pi degrees).  Cumulative angles come from a correctly rounded prefix
+table up to 2.2e6 and, beyond it, from memoised sums of fixed chunks of
+2^21 increments, so a query at or below an earlier one costs at most one
+chunk.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -32,7 +35,7 @@ C2 = -2.157782996659446
 _TAIL_COEFFS = ((-1.0 / 6.0, -0.5), (1.0 / 120.0, -1.5), (1.0 / 840.0, -2.5))
 
 # total_angle builds a memoized prefix table for n up to this bound and
-# streams one-off chunked sums beyond it.
+# memoized sums of _STREAM_CHUNK-term chunks (_chunks) beyond it.
 _AUTO_TABLE_LIMIT = 2_200_000
 _STREAM_CHUNK = 1 << 21
 
@@ -78,6 +81,10 @@ def _increments(lo: int, hi: int) -> np.ndarray:
 _lock = threading.Lock()
 _prefix = np.zeros(1)
 _units = (0, 0)
+# _chunks[j] holds the float64 sum of the increments for k in
+# [1 + j*_STREAM_CHUNK, 1 + (j+1)*_STREAM_CHUNK): the parts that
+# _streamed_angle(1, n) adds up.  It only grows, by appends under _lock.
+_chunks: list[float] = []
 
 
 def _prefix_table(n: int) -> np.ndarray:
@@ -108,17 +115,36 @@ def _streamed_angle(n1: int, n2: int) -> float:
     return math.fsum(parts)
 
 
+def _chunk_sums(count: int) -> list[float]:
+    """The first count full-chunk sums of the stream from k = 1, memoised.
+
+    Each sum is computed without the lock, and appended under it only if no
+    other thread appended that chunk meanwhile, so streaming never blocks.
+    """
+    while len(_chunks) < count:
+        j = len(_chunks)
+        a = 1 + j * _STREAM_CHUNK
+        part = float(np.sum(_increments(a, a + _STREAM_CHUNK)))
+        with _lock:
+            if len(_chunks) == j:
+                _chunks.append(part)
+    return _chunks[:count]
+
+
 def total_angle(n: int) -> float:
     """Cumulative angle of ray sqrt(n): sum_{k=1}^{n-1} arctan(1/sqrt(k)).
 
     Correctly rounded for n <= 2.2e6, read from an exact prefix table grown
-    on demand; beyond that a one-off streamed sum whose absolute error stays
-    below 1e-10 rad out to n = 1e8 (measured against mpmath).
+    on demand.  Beyond that it equals _streamed_angle(1, n) bit for bit, with
+    absolute error below 1e-10 rad out to n = 1e8 (measured against mpmath):
+    the full-chunk sums are memoised, so the first call up to n streams O(n)
+    terms and later calls up to n stream only the final partial chunk.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _AUTO_TABLE_LIMIT:
-        return _streamed_angle(1, n)
+        full = (n - 1) // _STREAM_CHUNK
+        return math.fsum([*_chunk_sums(full), _streamed_angle(1 + full * _STREAM_CHUNK, n)])
     return float(_prefix_table(n - 1)[n - 1])
 
 

@@ -253,6 +253,10 @@ class TestUsageErrors:
             ("constants", "--k", "100000000000"),
             ("plot", "ulam", "--n", "-5"),
             ("detect", "--seed-n", "0", "--d2", "18"),
+            ("detect", "--seed-n", "17", "--d2", "18", "--length", "100000000"),
+            ("detect", "--seed-n", "100000000000000000000", "--d2", "18"),
+            ("detect", "--seed-n", "1000000001", "--d2", "18"),
+            ("detect", "--seed-n", "17", "--d2", "18", "--length", "1001"),
             ("density", "B3", "--len", "-3"),
             ("density", "0,0,5", "--at", "2.5e6"),  # never reaches the target
             ("--threads", "2", "constants"),

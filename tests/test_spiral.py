@@ -1,6 +1,7 @@
 """Spiral-core: per-triangle angles, cumulative sums, asymptotics, limits."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -42,6 +43,17 @@ def empty_table(monkeypatch):
     def empty():
         monkeypatch.setattr(spiral, "_prefix", np.zeros(1))
         monkeypatch.setattr(spiral, "_units", (0, 0))
+
+    empty()
+    return empty
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """Empty the chunk-sum memo now and on each call; the shared one is restored afterwards."""
+
+    def empty():
+        monkeypatch.setattr(spiral, "_chunks", [])
 
     empty()
     return empty
@@ -120,6 +132,25 @@ class TestTotalAngle:
         for n in (1000, spiral._AUTO_TABLE_LIMIT + 1):  # table and streamed
             assert type(spiral.total_angle(n)) is float
         assert type(spiral.polar_of(1000).angle_total) is float
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_memo_equals_streaming_from_one_at_chunk_boundaries(self, empty_memo, j):
+        for offset in (-1, 0, 1, 2):
+            n = 1 + j * spiral._STREAM_CHUNK + offset
+            assert spiral.total_angle(n) == spiral._streamed_angle(1, n), n
+
+    def test_memo_equals_streaming_from_one_past_the_table(self, empty_memo):
+        for n in (spiral._AUTO_TABLE_LIMIT + 1, spiral._AUTO_TABLE_LIMIT + 2):
+            assert spiral.total_angle(n) == spiral._streamed_angle(1, n), n
+
+    def test_memo_grown_in_stages_equals_one_step(self, empty_memo):
+        chunk = spiral._STREAM_CHUNK
+        for n in (spiral._AUTO_TABLE_LIMIT + 1, 1 + 3 * chunk, 1 + 3 * chunk + 5, 5 * chunk):
+            spiral.total_angle(n)
+        staged = spiral._chunks
+        empty_memo()
+        spiral.total_angle(5 * chunk)
+        assert len(staged) == 4 and staged == spiral._chunks
 
     def test_streamed_matches_table(self):
         n = 50_000
@@ -273,3 +304,31 @@ def test_concurrent_table_growth():
         results = list(pool.map(worker, ns))
     for n, got in zip(ns, results):
         assert got == spiral.total_angle(n)
+
+
+def test_concurrent_memo_growth(empty_memo):
+    chunk = spiral._STREAM_CHUNK
+    ns = [spiral._AUTO_TABLE_LIMIT + 1, 1 + 3 * chunk, 4 * chunk + 7, 1 + 2 * chunk]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(spiral.total_angle, ns, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(spiral._chunks) == 4  # a chunk appended twice would lengthen the memo
+    for n, got in zip(ns, results):
+        assert got == spiral.total_angle(n) == spiral._streamed_angle(1, n)
+
+
+def test_memo_streams_without_the_lock(empty_memo, monkeypatch):
+    held = []
+    increments = spiral._increments
+
+    def spy(lo, hi):
+        held.append(spiral._lock.locked())
+        return increments(lo, hi)
+
+    monkeypatch.setattr(spiral, "_increments", spy)
+    spiral.total_angle(1 + 3 * spiral._STREAM_CHUNK + 5)
+    assert len(held) == 4 and not any(held)
