@@ -47,7 +47,6 @@ from .residues import (
 )
 from .spiral import (
     C2,
-    CONSTANTS,
     SpiralPoint,
     angle_between,
     angle_increment,

@@ -26,6 +26,10 @@ DENSITY_CSV_HEADER = "index,value,is_prime,factors,sd,first_diff,second_diff"
 
 _AT_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 
+# Most terms one density window or factors --window may scan: near 2^63 Pollard
+# rho costs ~1.1 ms a term, so a full window there takes 11-12 s (2-vCPU VM).
+_MAX_SCAN = 10**4
+
 
 class SystemExit2(Exception):
     """Usage/configuration error: exits with status 2."""
@@ -55,8 +59,10 @@ def _window_bounds(text: str) -> tuple[int, int]:
 
 
 def _window(text: str) -> str:
-    """argparse type: a valid index window, kept as typed for the report."""
-    _window_bounds(text)
+    """argparse type: a valid index window of at most _MAX_SCAN terms, kept as typed."""
+    lo, hi = _window_bounds(text)
+    if hi - lo > _MAX_SCAN:
+        raise argparse.ArgumentTypeError(f"window spans {hi - lo} terms, at most {_MAX_SCAN}")
     return text
 
 
@@ -129,9 +135,6 @@ def _verify_system(report: Report, system) -> int:
         for m in range(1, len(arm.fits)):
             if shift(arm.fits[m - 1], 1) != arm.fits[m]:
                 woes.append(f"shift does not reproduce fit {m + 1}")
-        for x in range(1, len(arm.terms) + 1):
-            if arm.poly(x) != arm.terms[x - 1]:
-                woes.append(f"term {x} mismatch")
         period = residues.residue_cycle(arm.poly, 10).period
         if period not in (1, 5):
             woes.append(f"mod-10 period {period}")
@@ -315,8 +318,6 @@ def cmd_detect(args: argparse.Namespace, fx: FixtureSet) -> Report:
 
 def cmd_plot(args: argparse.Namespace, fx: FixtureSet) -> Report:
     report = Report(command="plot", inputs={"what": args.what, "n": args.n})
-    if args.n > 10**5:
-        raise SystemExit2(f"--n {args.n} exceeds the 1e5 SVG point budget")
     if args.what == "sqrt-spiral":
         svg = svgplot.plot_sqrt_spiral(args.n)
     elif args.what == "number-spiral":
@@ -389,13 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="prime density over a spot-check window")
     p.add_argument("arm")
     p.add_argument("--at", choices=_AT_LABELS, default="start")
-    p.add_argument("--len", type=_int_at_least(1), default=None,
+    p.add_argument("--len", type=_int_at_least(1, _MAX_SCAN), default=None,
                    help="window length (default from fixture)")
     _add_common(p)
 
     p = sub.add_parser("residues", help="ending cycles and digit-sum profile of an arm")
     p.add_argument("arm")
-    p.add_argument("--terms", type=_int_at_least(5), default=25)
+    # digit sums cost str() of each value: 10^4 terms of an arm take ~0.1 s, of
+    # a literal with a 4200-digit coefficient ~13 s
+    p.add_argument("--terms", type=_int_at_least(5, 10**4), default=25)
     _add_common(p)
 
     # no abbreviations here, so that a stray --seed is an error, not --seed-n
@@ -410,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="emit a deterministic SVG")
     p.add_argument("what", choices=("sqrt-spiral", "number-spiral", "ulam", "arms", "fig7"))
-    p.add_argument("--n", type=_int_at_least(1), default=300)
+    p.add_argument("--n", type=_int_at_least(1, 10**5), default=300)  # the SVG point budget
     p.add_argument("--system", default=None, help="arm system for 'arms'")
     _add_common(p)
     return parser

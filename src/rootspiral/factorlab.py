@@ -382,7 +382,11 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     need sqrt(2*d2) near 2*pi, i.e. d2 near 2*pi^2 ~ 19.7; that is why the
     observed prime-rich chains carry d2 in {18, 20, 22}.  Candidates whose
     drift reaches a quarter wind within those ten steps are discarded; the
-    drifts of later steps are computed for the best candidate only.
+    drifts of later steps are computed for the best candidate only.  If one
+    of those reaches a quarter wind too, ChainNotFoundError is raised, so
+    every returned drift is below pi/2 in absolute value.  (The per-step
+    bend d2/sqrt(n) shrinks with n: from seed ~9.4e5 on, a d2 = 200 chain
+    passes the ten-step score and drifts away only later.)
     """
     if seed < 1:
         raise ValueError(f"seed must be >= 1, got {seed}")
@@ -405,12 +409,19 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     candidates.sort(key=lambda item: (item[0], item[1]))
     _, delta1, vals, drifts = candidates[0]
     drifts += [_drift(vals, i) for i in range(_SCORE_STEPS, length - 1)]
+    drifts = drifts[: length - 1]
+    for i, drift in enumerate(drifts):
+        if abs(drift) >= math.pi / 2.0:
+            raise ChainNotFoundError(
+                f"best first step {delta1} from {seed} drifts {drift:.3f} rad at step {i + 1},"
+                " past a quarter wind"
+            )
     return ArmChain(
         seed=seed,
         d2=d2,
         delta1=delta1,
         values=tuple(vals[:length]),
-        drifts=tuple(drifts[: length - 1]),
+        drifts=tuple(drifts),
         candidates=tuple(
             ChainCandidate(delta1=d1, score=s, values=tuple(v[:length]))
             for s, d1, v, _ in candidates

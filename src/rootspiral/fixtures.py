@@ -5,6 +5,9 @@ with all four printed fits and the first six terms), the spot-check window
 definitions of the prime-share table, and the legible rows of the K5
 intersection-point factor column.  Records are data, never code; the
 serializer reproduces record lines byte-identically for round-trip checks.
+Each arm record is checked as it is read: rotation P or N, a = d2/2, six
+terms, and fit 1 reproducing every term.  A record that breaks a rule or
+holds a non-integer number raises FixtureError with its line number.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class FixtureSet:
     extras: tuple[ArmSystem, ...]  # B33 / K5 style derived records
     windows: tuple[WindowSpec, ...]
     k5_factors: tuple[K5Factor, ...]
-    notes: tuple[str, ...]  # header comment lines (provenance, omissions)
 
     def table_systems(self, which: str) -> tuple[ArmSystem, ...]:
         """Systems belonging to one source table: 6A, 6B, 6C or 7."""
@@ -96,83 +98,73 @@ class FixtureError(ValueError):
         self.lineno = lineno
 
 
-def _parse_arm_record(fields: list[str], lineno: int) -> tuple[str, str, str, int, Arm]:
+def _parse_arm_record(fields: list[str]) -> tuple[str, str, int, Arm]:
+    """(system, rotation, d2, arm) of one arm or extra record.
+
+    Raises ValueError (int() included) for any field the format rejects.
+    """
     if len(fields) != 15:
-        raise FixtureError(lineno, f"arm record needs 15 fields, got {len(fields)}")
+        raise ValueError(f"arm record needs 15 fields, got {len(fields)}")
     _, system, armname, rotation, d2s, a_s = fields[:6]
-    try:
-        d2, a = int(d2s), int(a_s)
-        coeffs = [int(v) for v in fields[6:14]]
-        terms = tuple(int(t) for t in fields[14].split(","))
-    except ValueError as exc:
-        raise FixtureError(lineno, f"bad integer in arm {system}/{armname}: {exc}") from None
-    fits = tuple(QuadPoly(a, coeffs[2 * i], coeffs[2 * i + 1]) for i in range(4))
-    arm = Arm(name=armname, fits=fits, terms=terms)
+    d2, a = int(d2s), int(a_s)
+    coeffs = [int(v) for v in fields[6:14]]
+    terms = tuple(int(t) for t in fields[14].split(","))
+    if rotation not in ("P", "N"):
+        raise ValueError(f"{system}/{armname}: rotation must be P or N, got {rotation!r}")
     if 2 * a != d2:
-        raise FixtureError(lineno, f"{system}/{armname}: a={a} does not match d2={d2}")
-    for x in range(1, len(terms) + 1):
-        if fits[0](x) != terms[x - 1]:
-            raise FixtureError(
-                lineno,
-                f"{system}/{armname}: term {x} is {terms[x - 1]}, fit 1 gives {fits[0](x)}",
-            )
-    return system, armname, rotation, d2, arm
+        raise ValueError(f"{system}/{armname}: a={a} does not match d2={d2}")
+    if len(terms) != 6:
+        raise ValueError(f"{system}/{armname}: needs 6 terms, got {len(terms)}")
+    fits = tuple(QuadPoly(a, coeffs[2 * i], coeffs[2 * i + 1]) for i in range(4))
+    for x, term in enumerate(terms, start=1):
+        if fits[0](x) != term:
+            raise ValueError(f"{system}/{armname}: term {x} is {term}, fit 1 gives {fits[0](x)}")
+    return system, rotation, d2, Arm(name=armname, fits=fits, terms=terms)
 
 
 def parse_fixtures(text: str) -> FixtureSet:
-    notes = []
-    systems: dict[str, ArmSystem] = {}
-    extras: dict[str, ArmSystem] = {}
+    # system name -> (d2, rotation, arms) for "arm" and "extra" records, in file order
+    books: dict[str, dict[str, tuple[int, str, list[Arm]]]] = {"arm": {}, "extra": {}}
     windows: list[WindowSpec] = []
     k5: list[K5Factor] = []
-    order: list[str] = []
-    extra_order: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            notes.append(line)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
         kind = fields[0]
-        if kind in ("arm", "extra"):
-            system, armname, rotation, d2, arm = _parse_arm_record(fields, lineno)
-            book = systems if kind == "arm" else extras
-            tracker = order if kind == "arm" else extra_order
-            if system not in book:
-                book[system] = ArmSystem(name=system, d2=d2, rotation=rotation, arms=())
-                tracker.append(system)
-            current = book[system]
-            if current.d2 != d2 or current.rotation != rotation:
-                raise FixtureError(lineno, f"system {system} changes d2/rotation mid-file")
-            book[system] = ArmSystem(
-                name=system, d2=d2, rotation=rotation, arms=current.arms + (arm,)
-            )
-        elif kind == "window":
-            if len(fields) != 6:
-                raise FixtureError(lineno, f"window record needs 6 fields, got {len(fields)}")
-            windows.append(
-                WindowSpec(
-                    system=fields[1],
-                    arm=fields[2],
-                    label=fields[3],
-                    start_x=int(fields[4]),
-                    length=int(fields[5]),
+        try:
+            if kind in books:
+                system, rotation, d2, arm = _parse_arm_record(fields)
+                entry = books[kind].setdefault(system, (d2, rotation, []))
+                if entry[:2] != (d2, rotation):
+                    raise ValueError(f"system {system} changes d2/rotation mid-file")
+                entry[2].append(arm)
+            elif kind == "window":
+                if len(fields) != 6:
+                    raise ValueError(f"window record needs 6 fields, got {len(fields)}")
+                windows.append(
+                    WindowSpec(
+                        system=fields[1],
+                        arm=fields[2],
+                        label=fields[3],
+                        start_x=int(fields[4]),
+                        length=int(fields[5]),
+                    )
                 )
-            )
-        elif kind == "k5ref":
-            if len(fields) != 6:
-                raise FixtureError(lineno, f"k5ref record needs 6 fields, got {len(fields)}")
-            k5.append(K5Factor(x=int(fields[3]), value=int(fields[4]), factors=fields[5]))
-        else:
-            raise FixtureError(lineno, f"unknown record kind {kind!r}")
+            elif kind == "k5ref":
+                if len(fields) != 6:
+                    raise ValueError(f"k5ref record needs 6 fields, got {len(fields)}")
+                k5.append(K5Factor(x=int(fields[3]), value=int(fields[4]), factors=fields[5]))
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except ValueError as exc:  # a bad integer field or a broken record rule
+            raise FixtureError(lineno, str(exc)) from None
+    systems, extras = (
+        tuple(ArmSystem(name, d2, rot, tuple(arms)) for name, (d2, rot, arms) in book.items())
+        for book in (books["arm"], books["extra"])
+    )
     return FixtureSet(
-        systems=tuple(systems[name] for name in order),
-        extras=tuple(extras[name] for name in extra_order),
-        windows=tuple(windows),
-        k5_factors=tuple(k5),
-        notes=tuple(notes),
+        systems=systems, extras=extras, windows=tuple(windows), k5_factors=tuple(k5)
     )
 
 

@@ -42,10 +42,6 @@ class UlamCoord:
     x: int
     y: int
 
-    @property
-    def ring(self) -> int:
-        return max(abs(self.x), abs(self.y))
-
 
 def ulam_coord(n: int) -> UlamCoord:
     """Square-spiral coordinates: 1 at the origin, first step +x, counter-clockwise.

@@ -39,10 +39,8 @@ class Report:
         detail: str = "",
         value: Any = None,
         expected: Any = None,
-    ) -> Check:
-        check = Check(name=name, passed=passed, detail=detail, value=value, expected=expected)
-        self.checks.append(check)
-        return check
+    ) -> None:
+        self.checks.append(Check(name, passed, detail, value, expected))
 
     @property
     def failed(self) -> list[Check]:

@@ -3,6 +3,8 @@
 Because f(t+k) - f(t) = k*(2at + ak + b), the residue stream f(t) mod k is
 periodic with period dividing k for every modulus k.  Number endings are
 the k = 10 case; digit sums inherit their structure from the values mod 9.
+Every cycle and profile starts at the first arm term, x = 1, the indexing
+of the printed tables.
 
 Note the period-divides-k fact is stronger than the pigeonhole bound that
 is sometimes quoted for such recurrences (which only gives k^2): the
@@ -20,15 +22,14 @@ from .quad import QuadPoly
 
 @dataclass(frozen=True)
 class ResidueCycle:
-    """Residues of f(t0), f(t0+1), ... mod k over one minimal period."""
+    """Residues of f(1), f(2), ... mod k over one minimal period."""
 
     modulus: int
-    t0: int
     period: int
     cycle: tuple[int, ...]
 
     def canonical(self) -> tuple[tuple[int, ...], int]:
-        """Lexicographically smallest rotation and the phase of term t0."""
+        """Lexicographically smallest rotation and the phase of term 1."""
         rotations = [tuple(self.cycle[i:] + self.cycle[:i]) for i in range(self.period)]
         best = min(rotations)
         phase = rotations.index(best)
@@ -41,8 +42,8 @@ class ResidueCycle:
         return any(doubled[i : i + self.period] == tuple(other) for i in range(self.period))
 
 
-def residue_cycle(p: QuadPoly, k: int, t0: int = 1) -> ResidueCycle:
-    """Minimal-period residue cycle of f mod k starting at index t0.
+def residue_cycle(p: QuadPoly, k: int) -> ResidueCycle:
+    """Minimal-period residue cycle of f mod k starting at index 1.
 
     The period is the least d with f(t+d) = f(t) (mod k) for all t, found
     by direct search over the divisors of k (d = k always works).
@@ -57,8 +58,8 @@ def residue_cycle(p: QuadPoly, k: int, t0: int = 1) -> ResidueCycle:
             break
     else:  # pragma: no cover - d = k always satisfies the congruence
         period = k
-    cycle = tuple(p(t) % k for t in range(t0, t0 + period))
-    return ResidueCycle(modulus=k, t0=t0, period=period, cycle=cycle)
+    cycle = tuple(p(t) % k for t in range(1, period + 1))
+    return ResidueCycle(modulus=k, period=period, cycle=cycle)
 
 
 def ending_alphabet(p: QuadPoly) -> set[int]:
@@ -84,22 +85,10 @@ class DiffPattern:
     step: int | None = None
     cycle: tuple[int, ...] | None = None
 
-    @classmethod
-    def constant(cls, step: int) -> "DiffPattern":
-        return cls(kind="constant", step=step)
-
-    @classmethod
-    def four_cycle(cls, cycle: tuple[int, ...]) -> "DiffPattern":
-        return cls(kind="cycle", cycle=cycle)
-
-    @classmethod
-    def unrecognized(cls) -> "DiffPattern":
-        return cls(kind="unrecognized")
-
 
 def _detect_pattern(diffs: tuple[int, ...]) -> DiffPattern:
     if len(diffs) >= 2 and len(set(diffs)) == 1:
-        return DiffPattern.constant(diffs[0])
+        return DiffPattern("constant", step=diffs[0])
     # A 25-term window can expose as few as 7 distinct digit sums (6 gaps),
     # one and a half cycles; require at least that much before declaring a
     # 4-cycle, and demand every observed gap fit one rotation.
@@ -108,8 +97,8 @@ def _detect_pattern(diffs: tuple[int, ...]) -> DiffPattern:
             for r in range(4):
                 rot = canon[r:] + canon[:r]
                 if all(d == rot[i % 4] for i, d in enumerate(diffs)):
-                    return DiffPattern.four_cycle(canon)
-    return DiffPattern.unrecognized()
+                    return DiffPattern("cycle", cycle=canon)
+    return DiffPattern("unrecognized")
 
 
 @dataclass(frozen=True)
@@ -121,8 +110,8 @@ class DigitSumProfile:
     diff_pattern: DiffPattern
 
 
-def sd_profile(p: QuadPoly, n_terms: int = 25, t0: int = 1) -> DigitSumProfile:
-    """Digit-sum profile of f(t0 .. t0+n_terms-1).
+def sd_profile(p: QuadPoly, n_terms: int = 25) -> DigitSumProfile:
+    """Digit-sum profile of f(1 .. n_terms).
 
     The ordered distinct digit sums advance either by a constant step (3 or
     9) or by a repeating 4-cycle, (3,3,2,1) for d2 = 20 families and
@@ -131,7 +120,7 @@ def sd_profile(p: QuadPoly, n_terms: int = 25, t0: int = 1) -> DigitSumProfile:
     """
     if n_terms < 5:
         raise ValueError(f"need at least 5 terms, got {n_terms}")
-    sds = tuple(digit_sum(p(t)) for t in range(t0, t0 + n_terms))
+    sds = tuple(digit_sum(p(t)) for t in range(1, n_terms + 1))
     ordered = tuple(sorted(set(sds)))
     diffs = tuple(b - a for a, b in zip(ordered, ordered[1:]))
     return DigitSumProfile(sd_values=sds, ordered_distinct=ordered, diff_pattern=_detect_pattern(diffs))

@@ -50,16 +50,6 @@ class SpiralPoint:
     wind: int
 
 
-@dataclass(frozen=True)
-class SpiralConstants:
-    c2: float = C2
-    winding_gap_limit: float = math.pi
-    square_arm_angle_deg: float = 360.0 / math.pi
-
-
-CONSTANTS = SpiralConstants()
-
-
 def angle_increment(n: int) -> float:
     """Turning angle arctan(1/sqrt(n)) contributed by triangle n, in radians."""
     if n < 1:

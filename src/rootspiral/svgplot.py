@@ -1,8 +1,10 @@
 """Deterministic SVG renderings of the spirals.
 
-Coordinates are rounded to 1e-4 user units, elements are emitted in a
-fixed order, and nothing time- or environment-dependent enters the
-output, so identical inputs give byte-identical files.
+Every plot is drawn on the same SIZE x SIZE canvas, scaled so that the
+plotted region fits it.  Coordinates are rounded to 1e-4 user units,
+elements are emitted in a fixed order, and nothing time- or
+environment-dependent enters the output, so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 
 from . import factorlab, numberspiral, spiral
 from .quad import ArmSystem, QuadPoly
+
+SIZE = 800.0  # canvas width and height in SVG user units
 
 _PALETTE = ("#d4442c", "#2c6fd4", "#2ca05a", "#b06fd4", "#d49a2c", "#2cb5b5")
 
@@ -23,14 +27,13 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
-    def __init__(self, size: float, half_extent: float) -> None:
-        self.size = size
-        self.scale = size / (2.0 * half_extent)
+    def __init__(self, half_extent: float) -> None:
+        self.scale = SIZE / (2.0 * half_extent)
         self.elements: list[str] = []
 
     def _xy(self, x: float, y: float) -> tuple[str, str]:
         # +y up in math coordinates, down in SVG
-        return _fmt(self.size / 2 + x * self.scale), _fmt(self.size / 2 - y * self.scale)
+        return _fmt(SIZE / 2 + x * self.scale), _fmt(SIZE / 2 - y * self.scale)
 
     def circle(self, x: float, y: float, r: float, fill: str) -> None:
         cx, cy = self._xy(x, y)
@@ -52,11 +55,12 @@ class _Canvas:
         )
 
     def render(self) -> str:
+        size = _fmt(SIZE)
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(self.size)}" '
-            f'height="{_fmt(self.size)}" viewBox="0 0 {_fmt(self.size)} {_fmt(self.size)}">\n'
-            f'<rect width="{_fmt(self.size)}" height="{_fmt(self.size)}" fill="white"/>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+            f'height="{size}" viewBox="0 0 {size} {size}">\n'
+            f'<rect width="{size}" height="{size}" fill="white"/>\n'
         )
         return head + "\n".join(self.elements) + "\n</svg>\n"
 
@@ -74,9 +78,9 @@ def _arm_polyline(cv: _Canvas, poly: QuadPoly, n_max: int, stroke: str, width: f
         cv.polyline(pts, stroke, width)
 
 
-def plot_sqrt_spiral(n: int, size: float = 800.0) -> str:
+def plot_sqrt_spiral(n: int) -> str:
     """The triangle chain itself: rays, outer edge, primes and squares marked."""
-    cv = _Canvas(size, math.sqrt(n) * 1.05 + 1.0)
+    cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
     pts = [_sqrt_xy(k) for k in range(1, n + 1)]
     for x, y in pts:
         cv.line(0.0, 0.0, x, y, "#cccccc", 0.5)
@@ -90,9 +94,9 @@ def plot_sqrt_spiral(n: int, size: float = 800.0) -> str:
     return cv.render()
 
 
-def plot_number_spiral(n: int, size: float = 800.0) -> str:
+def plot_number_spiral(n: int) -> str:
     """Number-spiral layout: squares on one ray, primes darkened."""
-    cv = _Canvas(size, math.sqrt(n) * 1.05 + 1.0)
+    cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
     for k in range(n + 1):
         pt = numberspiral.ns_polar(k)
         ang = 2.0 * math.pi * pt.theta_rotations
@@ -104,10 +108,9 @@ def plot_number_spiral(n: int, size: float = 800.0) -> str:
     return cv.render()
 
 
-def plot_ulam(n: int, size: float = 800.0) -> str:
+def plot_ulam(n: int) -> str:
     """Ulam dot plot; primes dark, corner squares tinted."""
-    half = math.isqrt(n) / 2.0 + 1.5
-    cv = _Canvas(size, half)
+    cv = _Canvas(math.isqrt(n) / 2.0 + 1.5)
     dot = max(1.0, 0.42 * cv.scale)
     for k in range(1, n + 1):
         c = numberspiral.ulam_coord(k)
@@ -120,9 +123,9 @@ def plot_ulam(n: int, size: float = 800.0) -> str:
     return cv.render()
 
 
-def plot_arms(system: ArmSystem, n_max: int, size: float = 800.0) -> str:
+def plot_arms(system: ArmSystem, n_max: int) -> str:
     """Spiral dots with one system's arms overlaid as polylines."""
-    cv = _Canvas(size, math.sqrt(n_max) * 1.05 + 1.0)
+    cv = _Canvas(math.sqrt(n_max) * 1.05 + 1.0)
     for k in range(1, n_max + 1):
         x, y = _sqrt_xy(k)
         if factorlab.is_prime(k):
@@ -134,9 +137,9 @@ def plot_arms(system: ArmSystem, n_max: int, size: float = 800.0) -> str:
     return cv.render()
 
 
-def plot_fig7(n_max: int, k5_poly, size: float = 800.0) -> str:
+def plot_fig7(n_max: int, k5_poly) -> str:
     """The K5 arm over the divisibility spirals of 7, 11 and 17."""
-    cv = _Canvas(size, math.sqrt(n_max) * 1.05 + 1.0)
+    cv = _Canvas(math.sqrt(n_max) * 1.05 + 1.0)
     colors = {7: "#f2b5a0", 11: "#b5c8f2", 17: "#b5f2c8"}
     for k in range(1, n_max + 1):
         for q, color in colors.items():

@@ -63,6 +63,19 @@ class TestVerifyTables:
         assert code == 2
         assert "line 1" in err
 
+    def test_malformed_record_exits_2_with_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "rot.tsv"
+        bad.write_text(
+            "# header\n"
+            "arm\tP18-A\tA1\tQ\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n",
+            encoding="utf-8",
+        )
+        code = main(["--fixture-file", str(bad), "verify-tables", "--which", "6A"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("line ") == 1 and "line 2: " in err
+        assert "Traceback" not in err
+
     def test_inconsistent_fits_exit_1_with_arm_named(self, capsys, tmp_path):
         # parseable record whose printed second fit disagrees with reindexing
         bad = tmp_path / "drift.tsv"
@@ -186,12 +199,25 @@ class TestPlot:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith("<?xml")
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "2335fbe9f6ea8a40b9903e2b274535098b78d91031610a7da4a03eabfd548a7b"
+        )
 
     def test_ulam_2026_dots(self, capsys, tmp_path):
         out = tmp_path / "u.svg"
         assert main(["plot", "ulam", "--n", "2026", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert out.exists()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4b5b6a521b523aa6f4d9dde30cfdf468d90b8ba209ca8f98e7e78e528d9faa8d"
+        )
+
+    def test_number_spiral(self, capsys, tmp_path):
+        out = tmp_path / "ns.svg"
+        assert main(["plot", "number-spiral", "--n", "500", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d5d4bfce19399d804fe0442b30c973d78183fc9a5f885018c956643eec74af95"
+        )
 
     def test_arms_requires_system(self, capsys, tmp_path):
         code = main(["plot", "arms", "--n", "500", "--out", str(tmp_path / "x.svg")])
@@ -219,8 +245,11 @@ class TestPlot:
         )
 
     def test_point_budget(self, capsys, tmp_path):
-        code = main(["plot", "ulam", "--n", "200001", "--out", str(tmp_path / "x.svg")])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:  # argparse rejects --n past 1e5
+            main(["plot", "ulam", "--n", "100001", "--out", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert "must be <= 100000" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_unwritable_path(self, capsys):
         code = main(["plot", "ulam", "--n", "10", "--out", "/nonexistent-dir/x.svg"])
@@ -258,6 +287,13 @@ class TestUsageErrors:
             ("detect", "--seed-n", "1000000001", "--d2", "18"),
             ("detect", "--seed-n", "17", "--d2", "18", "--length", "1001"),
             ("density", "B3", "--len", "-3"),
+            ("density", "B3", "--len", "10001"),
+            ("density", "B3", "--len", "100000000"),
+            ("factors", "B3", "--window", "1:10002"),
+            ("factors", "B3", "--window", "5..100000000"),
+            ("residues", "Q3", "--terms", "10001"),
+            ("residues", "Q3", "--terms", "4"),
+            ("plot", "ulam", "--n", "200001"),
             ("density", "0,0,5", "--at", "2.5e6"),  # never reaches the target
             ("--threads", "2", "constants"),
             ("constants", "--threads", "2"),

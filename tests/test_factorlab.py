@@ -326,23 +326,32 @@ class TestDetectArmChain:
         for i, drift in enumerate(chain.drifts):
             assert drift == spiral.angle_between(v[i], v[i + 1]) - spiral.TWO_PI
 
-    # Seeds stop at 5e5: below ~9.4e5 every first step of a d2 = 200 chain
-    # drifts past a quarter wind within the ten scored steps, but further out
-    # the per-step bend d2/sqrt(n) is too small for that score (known defect,
-    # recorded in CHANGES.md; the strict xfail below keeps it visible).
+    # Below ~9.4e5 every first step of a d2 = 200 chain drifts past a quarter
+    # wind within the ten scored steps; further out the per-step bend
+    # d2/sqrt(n) is smaller and the drift grows past it only later in the chain.
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(2, 5 * 10**5), length=st.integers(2, 60))
     def test_not_found_at_d2_200(self, seed, length):
         with pytest.raises(ChainNotFoundError):
             detect_arm_chain(seed, 200, length)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ten-step score accepts d2 = 200 chains (~3 winds per step) from seed ~9.4e5 on",
-    )
     def test_not_found_at_d2_200_past_a_million(self):
-        with pytest.raises(ChainNotFoundError):
+        with pytest.raises(ChainNotFoundError, match="past a quarter wind"):
             detect_arm_chain(10**6, 200, 20)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(2, 3 * 10**6),
+        d2=st.sampled_from((18, 20, 22, 200)),
+        length=st.integers(2, 60),
+    )
+    def test_returned_drifts_stay_within_a_quarter_wind(self, seed, d2, length):
+        try:
+            chain = detect_arm_chain(seed, d2, length)
+        except ChainNotFoundError:
+            assert d2 == 200  # a one-wind chain exists for d2 near 2*pi^2
+            return
+        assert all(abs(d) < math.pi / 2 for d in chain.drifts)
 
 
 def test_k5_intersection_table_pins():

@@ -129,3 +129,31 @@ class TestParseErrors:
     def test_unknown_kind(self):
         with pytest.raises(FixtureError, match="unknown record kind"):
             parse_fixtures("blob\tx\n")
+
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            ("window\tP18-B\tB3\tstart\tone\t37", "invalid literal"),
+            ("k5ref\tN22-K\tK5\t2\t4x9\t7^2", "invalid literal"),
+            ("arm\tP18-A\tA1\tQ\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335",
+             "rotation must be P or N"),
+            ("arm\tP18-A\tA1\tP\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35", "needs 6 terms"),
+            ("arm\tP18-A\tA1\tP\t18\t9\t3\tx\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335",
+             "invalid literal"),
+            ("arm\tP18-A\tA1\tP\t18\t8\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335",
+             "does not match d2"),
+        ],
+        ids=["window-start", "k5ref-value", "rotation", "two-terms", "arm-integer", "a-vs-d2"],
+    )
+    def test_malformed_record_names_its_line_once(self, record, reason):
+        text = "# header\n\n" + record + "\n"
+        with pytest.raises(FixtureError, match=reason) as exc:
+            parse_fixtures(text)
+        assert exc.value.lineno == 3
+        assert str(exc.value).startswith("line 3: ") and str(exc.value).count("line ") == 1
+
+    def test_system_changing_rotation_mid_file(self):
+        terms = "\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
+        text = "arm\tP18-A\tA1\tP\t18\t9" + terms + "arm\tP18-A\tA2\tN\t18\t9" + terms
+        with pytest.raises(FixtureError, match="line 2: system P18-A changes d2/rotation"):
+            parse_fixtures(text)

@@ -289,10 +289,7 @@ class TestAngleBetween:
 
 
 def test_constants_record():
-    c = spiral.CONSTANTS
-    assert round(c.c2, 12) == -2.157782996659
-    assert c.winding_gap_limit == PI
-    assert c.square_arm_angle_deg == 360.0 / PI
+    assert round(spiral.C2, 12) == -2.157782996659
 
 
 def test_concurrent_table_growth():
