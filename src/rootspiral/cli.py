@@ -75,8 +75,8 @@ def _resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
         lookup_error = exc
     try:
         return text, QuadPoly.parse(text)
-    except ValueError:
-        raise SystemExit2(f"not an arm or polynomial: {lookup_error.args[0]}") from None
+    except ValueError as exc:
+        raise SystemExit2(f"not an arm or polynomial: {lookup_error.args[0]}; {exc}") from None
 
 
 def cmd_constants(args: argparse.Namespace, fx: FixtureSet) -> Report:

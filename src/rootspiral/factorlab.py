@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import spiral
-from .quad import QuadPoly
-
-VALUE_LIMIT = 1 << 63
+from .quad import VALUE_LIMIT, QuadPoly
 
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
 # primality for every n below _MR_LIMIT (OEIS A014233(12)), the least strong

@@ -25,6 +25,10 @@ class NonIntegralError(ValueError):
     """Samples imply a half-integer leading coefficient."""
 
 
+# Values past 2^63 leave the 64-bit primality contract (factorlab.density_scan),
+# and QuadPoly.parse accepts no literal coefficient larger in absolute value.
+VALUE_LIMIT = 1 << 63
+
 _POLY_RE = re.compile(r"^(?P<a>[+-]?\d*)x\^2(?P<b>[+-]\d*)x(?P<c>[+-]\d+)$")
 
 
@@ -76,18 +80,25 @@ class QuadPoly:
 
     @classmethod
     def parse(cls, text: str) -> "QuadPoly":
-        """Parse 'a,b,c' or a compact form like '9x^2+9x-1'."""
+        """Parse 'a,b,c' or a compact form like '9x^2+9x-1'.
+
+        Raises ValueError on malformed text or on a coefficient past
+        VALUE_LIMIT (2^63) in absolute value.
+        """
         text = text.strip()
         if "," in text:
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != 3:
                 raise ValueError(f"expected three coefficients, got {text!r}")
-            a, b, c = (int(p) for p in parts)
-            return cls(a, b, c)
-        m = _POLY_RE.match(text.replace(" ", ""))
-        if not m:
-            raise ValueError(f"cannot parse polynomial {text!r}")
-        return cls(*(_coef(m.group(g)) for g in ("a", "b", "c")))
+            coefs = [int(p) for p in parts]
+        else:
+            m = _POLY_RE.match(text.replace(" ", ""))
+            if not m:
+                raise ValueError(f"cannot parse polynomial {text!r}")
+            coefs = [_coef(m.group(g)) for g in ("a", "b", "c")]
+        if any(abs(v) > VALUE_LIMIT for v in coefs):
+            raise ValueError("a literal coefficient exceeds 2^63 in absolute value")
+        return cls(*coefs)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ table up to 2.2e6 and, beyond it, from memoised sums of fixed chunks of
 2^21 increments, so a query at or below an earlier one costs at most one
 chunk.
 
+numpy is imported only by the functions that sum angles, so importing this
+module (and any command that never sums an angle) does not load it.  The
+prefix table starts as the single entry total_angle(1) = 0 and grows in
+blocks of 2^16 entries written in place into one preallocated array, so a
+build holds the old and new tables plus one block of temporaries.
+
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
 """
@@ -19,8 +25,10 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,6 +46,8 @@ _TAIL_COEFFS = ((-1.0 / 6.0, -0.5), (1.0 / 120.0, -1.5), (1.0 / 840.0, -2.5))
 # memoized sums of _STREAM_CHUNK-term chunks (_chunks) beyond it.
 _AUTO_TABLE_LIMIT = 2_200_000
 _STREAM_CHUNK = 1 << 21
+# entries of the prefix table computed per step of its growth
+_TABLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,8 @@ def angle_increment(n: int) -> float:
 
 def _increments(lo: int, hi: int) -> np.ndarray:
     """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64."""
+    import numpy as np
+
     return np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64)))
 
 
@@ -66,10 +78,14 @@ def _increments(lo: int, hi: int) -> np.ndarray:
 # _AUTO_TABLE_LIMIT every increment is >= 2^-11, hence an exact multiple of
 # 2^-64: it splits exactly into whole units of 2^-30 and of 2^-64, whose
 # running int64 sums (_units) are exact, and one float addition per entry
-# rounds the exact prefix once.  The table is grown under _lock and published
-# by rebinding _prefix, so readers index the array they fetched without it.
+# rounds the exact prefix once.  It starts as the one entry (0.0,), without
+# numpy; each growth preallocates the grown array, copies the old entries and
+# fills the rest in _TABLE_BLOCK-entry blocks, carrying _units across them, so
+# every entry is the same however the table was grown.  The table is grown
+# under _lock and published by rebinding _prefix, so readers index the array
+# they fetched without it.
 _lock = threading.Lock()
-_prefix = np.zeros(1)
+_prefix: Sequence[float] = (0.0,)
 _units = (0, 0)
 # _chunks[j] holds the float64 sum of the increments for k in
 # [1 + j*_STREAM_CHUNK, 1 + (j+1)*_STREAM_CHUNK): the parts that
@@ -77,7 +93,7 @@ _units = (0, 0)
 _chunks: list[float] = []
 
 
-def _prefix_table(n: int) -> np.ndarray:
+def _prefix_table(n: int) -> Sequence[float]:
     """The prefix table, grown to cover index n (n < _AUTO_TABLE_LIMIT)."""
     global _prefix, _units
     table = _prefix
@@ -87,21 +103,35 @@ def _prefix_table(n: int) -> np.ndarray:
         table = _prefix
         if n < len(table):
             return table
+        import numpy as np
+
         # at least double, so that copying the old entries stays O(1) per entry
         size = min(max(n + 1, 2 * len(table)), _AUTO_TABLE_LIMIT)
-        fine, coarse = np.modf(np.ldexp(_increments(len(table), size), 30))
-        coarse = np.cumsum(coarse.astype(np.int64)) + _units[0]
-        fine = np.cumsum(np.ldexp(fine, 34).astype(np.int64)) + _units[1]
-        values = np.ldexp(coarse + (fine >> 34), -30) + np.ldexp(fine & ((1 << 34) - 1), -64)
-        _prefix, _units = np.concatenate([table, values]), (int(coarse[-1]), int(fine[-1]))
-        return _prefix
+        grown = np.empty(size)
+        grown[: len(table)] = table
+        coarse_sum, fine_sum = _units
+        for lo in range(len(table), size, _TABLE_BLOCK):
+            hi = min(lo + _TABLE_BLOCK, size)
+            fine, coarse = np.modf(np.ldexp(_increments(lo, hi), 30))
+            coarse = np.cumsum(coarse.astype(np.int64)) + coarse_sum
+            fine = np.cumsum(np.ldexp(fine, 34).astype(np.int64)) + fine_sum
+            grown[lo:hi] = np.ldexp(coarse + (fine >> 34), -30)
+            grown[lo:hi] += np.ldexp(fine & ((1 << 34) - 1), -64)
+            coarse_sum, fine_sum = int(coarse[-1]), int(fine[-1])
+        _prefix, _units = grown, (coarse_sum, fine_sum)
+        return grown
+
+
+def _increment_sum(lo: int, hi: int) -> float:
+    """Pairwise float64 sum of the increments for k in [lo, hi)."""
+    return float(_increments(lo, hi).sum())
 
 
 def _streamed_angle(n1: int, n2: int) -> float:
     """sum_{k=n1}^{n2-1} arctan(1/sqrt(k)) by chunked pairwise summation."""
     parts = []
     for a in range(n1, n2, _STREAM_CHUNK):
-        parts.append(float(np.sum(_increments(a, min(a + _STREAM_CHUNK, n2)))))
+        parts.append(_increment_sum(a, min(a + _STREAM_CHUNK, n2)))
     return math.fsum(parts)
 
 
@@ -114,7 +144,7 @@ def _chunk_sums(count: int) -> list[float]:
     while len(_chunks) < count:
         j = len(_chunks)
         a = 1 + j * _STREAM_CHUNK
-        part = float(np.sum(_increments(a, a + _STREAM_CHUNK)))
+        part = _increment_sum(a, a + _STREAM_CHUNK)
         with _lock:
             if len(_chunks) == j:
                 _chunks.append(part)
@@ -199,6 +229,8 @@ def winding_gap(n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    import numpy as np
+
     # One extra wind spans ~2*pi*sqrt(n) + pi^2 indices; pad the range.
     span = int(math.ceil(TWO_PI * math.sqrt(n))) + 16
     incs = _increments(n, n + span)

@@ -299,6 +299,9 @@ class TestUsageErrors:
             ("constants", "--threads", "2"),
             ("--seed", "1", "constants"),
             ("detect", "--seed", "1", "--seed-n", "17", "--d2", "18"),
+            pytest.param(("residues", "9" * 4299 + ",0,0", "--terms", "10"),
+                         id="residues <4299 nines>,0,0 --terms 10"),
+            ("residues", "9223372036854775809x^2+x+1", "--terms", "10"),  # a coefficient past 2^63
         ],
         ids=" ".join,
     )

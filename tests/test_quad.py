@@ -10,6 +10,7 @@ from rootspiral.quad import (
     DiffProfile,
     NonIntegralError,
     NotQuadraticError,
+    VALUE_LIMIT,
     QuadPoly,
     coefficient_rules_check,
     decimate,
@@ -172,6 +173,14 @@ class TestQuadPoly:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             QuadPoly.parse("x^3+1")
+
+    def test_parse_bounds_literal_coefficients(self):
+        assert QuadPoly.parse(f"{VALUE_LIMIT},{-VALUE_LIMIT},0") == QuadPoly(VALUE_LIMIT, -VALUE_LIMIT, 0)
+        assert QuadPoly.parse(f"x^2+{VALUE_LIMIT}x-{VALUE_LIMIT}").c == -VALUE_LIMIT
+        for text in (f"{VALUE_LIMIT + 1},0,0", f"1,{-VALUE_LIMIT - 1},0", "9" * 4299 + ",0,0",
+                     f"{VALUE_LIMIT + 1}x^2+x+1", f"x^2+x-{VALUE_LIMIT + 1}"):
+            with pytest.raises(ValueError, match="exceeds 2\\^63"):
+                QuadPoly.parse(text)
 
     def test_exact_evaluation_at_large_x(self):
         x = 2**30

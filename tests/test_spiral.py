@@ -1,7 +1,9 @@
 """Spiral-core: per-triangle angles, cumulative sums, asymptotics, limits."""
 
+import importlib.util
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -38,11 +40,15 @@ def mp_winding_gap(n: int) -> float:
 
 @pytest.fixture
 def empty_table(monkeypatch):
-    """Empty the prefix table now and on each call; the shared one is restored afterwards."""
+    """Reset the prefix table now and on each call to the state of a fresh import of
+    the module; the shared one is restored afterwards."""
+    spec = importlib.util.find_spec(spiral.__name__)
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
 
     def empty():
-        monkeypatch.setattr(spiral, "_prefix", np.zeros(1))
-        monkeypatch.setattr(spiral, "_units", (0, 0))
+        monkeypatch.setattr(spiral, "_prefix", fresh._prefix)
+        monkeypatch.setattr(spiral, "_units", fresh._units)
 
     empty()
     return empty
@@ -127,6 +133,32 @@ class TestTotalAngle:
         one_step = spiral._prefix_table(2_199_999)
         assert len(staged) == len(one_step) == 2_200_000
         assert np.array_equal(staged, one_step)
+
+    def test_block_edges_equal_one_step(self, empty_table):
+        block = spiral._TABLE_BLOCK
+        sizes = (block - 1, block, block + 1, 3 * block + 1)
+        one_step = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1).view(np.int64)
+        for size in sizes:  # each grown from the initial state
+            empty_table()
+            grown = spiral._prefix_table(size - 1)
+            assert len(grown) == size
+            assert np.array_equal(grown.view(np.int64), one_step[:size]), size
+        empty_table()
+        for size in sizes:  # one table grown in stages
+            grown = spiral._prefix_table(size - 1)
+            assert np.array_equal(grown.view(np.int64), one_step[: len(grown)]), size
+        staged = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1)
+        assert np.array_equal(staged.view(np.int64), one_step)
+
+    def test_table_build_peaks_below_twice_its_size(self, empty_table):
+        tracemalloc.start()
+        try:
+            table = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == spiral._AUTO_TABLE_LIMIT
+        assert peak < 2 * table.nbytes
 
     def test_returns_python_float(self):
         for n in (1000, spiral._AUTO_TABLE_LIMIT + 1):  # table and streamed
