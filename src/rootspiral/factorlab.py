@@ -21,6 +21,12 @@ from .quad import VALUE_LIMIT, QuadPoly
 # pseudoprime to all of them, = 399165290221 * 798330580441 ~ 3.19e23.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 318_665_857_834_031_151_167_461
+# Pollard rho steps (squarings of y) one factor search may take.  A value below
+# 2^63 has a factor below 2^31.5, found within 2^18 steps in every one of 300
+# balanced semiprimes tried near 2^62; the budget is 64 times that.  It splits
+# a semiprime with both factors near 1e12 (2^21 steps) and gives up on one
+# with both near 1e15 after about 10 s on a 2-vCPU VM.
+_RHO_BUDGET = 1 << 24
 
 
 class ChainNotFoundError(ValueError):
@@ -78,14 +84,19 @@ def _pollard_brent(n: int) -> int:
     """One nontrivial factor of composite odd n (Brent's cycle variant).
 
     The (y, c) start values walk a fixed schedule, so factorizations are
-    reproducible run to run.
+    reproducible run to run.  Raises ArithmeticError instead of taking more
+    than _RHO_BUDGET steps, which only a factor far above 2^31.5 needs.
     """
     if n % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            steps += 2 * r  # this round walks y at most 2r steps
+            if steps > _RHO_BUDGET:
+                raise ArithmeticError(f"Pollard rho found no factor of {n} in {_RHO_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -375,7 +386,9 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     Candidate first steps are the even integers within +-15 of
     2*pi*sqrt(seed) (one wind); each candidate is extended by the constant
     d2 recurrence and scored by its worst per-step angular drift over the
-    first ten steps, measured with the direct-summation angle oracle.  The
+    first ten steps, measured with the direct-summation angle oracle
+    (spiral.angles_between sums step i of every candidate from one shared
+    set of increments, bit for bit as angle_between would).  The
     per-step angle tends to sqrt(2*d2) radians, so one-wind-per-step chains
     need sqrt(2*d2) near 2*pi, i.e. d2 near 2*pi^2 ~ 19.7; that is why the
     observed prime-rich chains carry d2 in {18, 20, 22}.  Candidates whose
@@ -395,10 +408,13 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     lo += lo % 2
     hi = int(math.floor(base + _DELTA_WINDOW))
     count = max(_SCORE_STEPS + 1, length)
+    delta1s = range(lo, hi + 1, 2)
+    chains = [_chain_values(seed, delta1, d2, count) for delta1 in delta1s]
+    # step i of every candidate at once: the candidates' steps overlap
+    scored = [spiral.angles_between([(v[i], v[i + 1]) for v in chains]) for i in range(_SCORE_STEPS)]
     candidates = []
-    for delta1 in range(lo, hi + 1, 2):
-        vals = _chain_values(seed, delta1, d2, count)
-        drifts = [_drift(vals, i) for i in range(_SCORE_STEPS)]
+    for c, (delta1, vals) in enumerate(zip(delta1s, chains)):
+        drifts = [angles[c] - spiral.TWO_PI for angles in scored]
         score = max(abs(d) for d in drifts)
         if score < math.pi / 2.0:
             candidates.append((score, delta1, vals, drifts))

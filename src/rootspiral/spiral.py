@@ -14,7 +14,12 @@ numpy is imported only by the functions that sum angles, so importing this
 module (and any command that never sums an angle) does not load it.  The
 prefix table starts as the single entry total_angle(1) = 0 and grows in
 blocks of 2^16 entries written in place into one preallocated array, so a
-build holds the old and new tables plus one block of temporaries.
+build holds the old and new tables plus one block of temporaries.  Streamed
+sums split each chunk the way numpy's pairwise summation splits an array,
+down to blocks of 2^16 increments, so they hold one block at a time and
+equal the sum of the whole chunk as one array bit for bit.  Increments are
+computed in place, in one buffer per block.  angles_between sums many
+overlapping spans from one shared set of increments.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +51,8 @@ _TAIL_COEFFS = ((-1.0 / 6.0, -0.5), (1.0 / 120.0, -1.5), (1.0 / 840.0, -2.5))
 # memoized sums of _STREAM_CHUNK-term chunks (_chunks) beyond it.
 _AUTO_TABLE_LIMIT = 2_200_000
 _STREAM_CHUNK = 1 << 21
-# entries of the prefix table computed per step of its growth
+# entries of the prefix table computed per step of its growth, and the most
+# increments a streamed sum holds at once
 _TABLE_BLOCK = 1 << 16
 
 
@@ -68,10 +74,17 @@ def angle_increment(n: int) -> float:
 
 
 def _increments(lo: int, hi: int) -> np.ndarray:
-    """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64."""
+    """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64.
+
+    Each step writes into the one buffer that arange allocates; the operations,
+    and so the values, are those of arctan(1.0 / sqrt(arange(lo, hi))).
+    """
     import numpy as np
 
-    return np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64)))
+    out = np.arange(lo, hi, dtype=np.float64)
+    np.sqrt(out, out=out)
+    np.divide(1.0, out, out=out)
+    return np.arctan(out, out=out)
 
 
 # _prefix[i] holds sum_{k=1}^{i} arctan(1/sqrt(k)), correctly rounded.  Below
@@ -122,9 +135,34 @@ def _prefix_table(n: int) -> Sequence[float]:
         return grown
 
 
-def _increment_sum(lo: int, hi: int) -> float:
-    """Pairwise float64 sum of the increments for k in [lo, hi)."""
+def _pairwise(lo: int, hi: int, block_sum: Callable[[int, int], float]) -> float:
+    """numpy's pairwise sum of the span [lo, hi), from sums of blocks of it.
+
+    numpy sums more than 128 terms as the sum of two pieces, the first of
+    n // 2 terms rounded down to a multiple of 8.  This splits the same way
+    until a piece has at most _TABLE_BLOCK terms, and takes block_sum(a, b),
+    numpy's .sum() of that piece, so the result equals .sum() of the whole
+    span bit for bit.
+    """
+    n = hi - lo
+    if n <= _TABLE_BLOCK:
+        return block_sum(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(lo, lo + half, block_sum) + _pairwise(lo + half, hi, block_sum)
+
+
+def _block_sum(lo: int, hi: int) -> float:
     return float(_increments(lo, hi).sum())
+
+
+def _increment_sum(lo: int, hi: int) -> float:
+    """Pairwise float64 sum of the increments for k in [lo, hi).
+
+    Equal bit for bit to .sum() of _increments(lo, hi), but computed in
+    blocks of at most _TABLE_BLOCK increments, so it holds one block at a time.
+    """
+    return _pairwise(lo, hi, _block_sum)
 
 
 def _streamed_angle(n1: int, n2: int) -> float:
@@ -178,6 +216,42 @@ def angle_between(n1: int, n2: int) -> float:
     if not 1 <= n1 <= n2:
         raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
     return _streamed_angle(n1, n2)
+
+
+def angles_between(spans: Sequence[tuple[int, int]]) -> list[float]:
+    """angle_between(n1, n2) for each span (n1, n2), bit for bit.
+
+    Each span is streamed in the chunks angle_between uses, and the chunks
+    at the same offset into their spans are summed from one shared array of
+    increments, so overlapping spans, such as the steps of neighbouring
+    chains, compute each increment once.  That array covers the union of
+    those chunks, and is at most two chunks long (32 MiB); chunks spread
+    wider apart are summed block by block, as angle_between sums them.
+    """
+    for n1, n2 in spans:
+        if not 1 <= n1 <= n2:
+            raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
+    parts: list[list[float]] = [[] for _ in spans]
+    longest = max((n2 - n1 for n1, n2 in spans), default=0)
+    for offset in range(0, longest, _STREAM_CHUNK):
+        chunks = [
+            (i, n1 + offset, min(n1 + offset + _STREAM_CHUNK, n2))
+            for i, (n1, n2) in enumerate(spans)
+            if n1 + offset < n2
+        ]
+        base = min(a for _, a, _ in chunks)
+        top = max(b for _, _, b in chunks)
+        if top - base > 2 * _STREAM_CHUNK:
+            block_sum = _block_sum
+        else:
+            incs = _increments(base, top)
+
+            def block_sum(a: int, b: int) -> float:
+                return float(incs[a - base : b - base].sum())
+
+        for i, a, b in chunks:
+            parts[i].append(_pairwise(a, b, block_sum))
+    return [math.fsum(p) for p in parts]
 
 
 def _tail(n: float) -> float:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootspiral import factorlab, spiral
@@ -113,6 +113,22 @@ class TestFactorize:
     def test_deterministic(self):
         n = 2780222773 * 2500550027
         assert factorize(n) == factorize(n)
+
+    def test_rho_gives_up_after_its_budget(self, monkeypatch):
+        n = sympy.nextprime(10**12) * sympy.nextprime(2 * 10**12)  # ~2e24, balanced
+        monkeypatch.setattr(factorlab, "_RHO_BUDGET", 1 << 10)
+        with pytest.raises(ArithmeticError, match=f"no factor of {n} in 1024 steps"):
+            factorlab._pollard_brent(n)
+        with pytest.raises(ArithmeticError, match=str(n)):
+            factorize(n)
+
+    def test_rho_budget_is_far_above_64_bit_needs(self, monkeypatch):
+        # the deepest splits below 2^63, two primes near 2^31.5, fit in 1/64 of it
+        monkeypatch.setattr(factorlab, "_RHO_BUDGET", factorlab._RHO_BUDGET // 64)
+        rng = random.Random(3)
+        for _ in range(5):
+            p, q = (sympy.nextprime(rng.randint(2 * 10**9, 3 * 10**9)) for _ in range(2))
+            assert math.prod(f**e for f, e in factorize(p * q).factors) == p * q
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -325,6 +341,30 @@ class TestDetectArmChain:
         assert all(v[i + 2] - 2 * v[i + 1] + v[i] == d2 for i in range(length - 2))
         for i, drift in enumerate(chain.drifts):
             assert drift == spiral.angle_between(v[i], v[i + 1]) - spiral.TWO_PI
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(2, 10**9), d2=st.sampled_from((18, 20, 22, 200)))
+    @example(seed=10**9, d2=18)
+    @example(seed=940_781, d2=200)
+    def test_candidate_scores_are_the_oracle_angles(self, seed, d2):
+        # every even first step within 15 of one wind, scored on its own
+        base = 2 * math.pi * math.sqrt(seed)
+        expected = []
+        for delta1 in range(max(2, math.ceil(base - 15)), math.floor(base + 15) + 1):
+            if delta1 % 2:
+                continue
+            v = tuple(seed + i * delta1 + d2 * i * (i - 1) // 2 for i in range(11))
+            drifts = [spiral.angle_between(v[i], v[i + 1]) - spiral.TWO_PI for i in range(10)]
+            score = max(abs(d) for d in drifts)
+            if score < math.pi / 2:
+                expected.append((score, delta1, v))
+        expected.sort()
+        try:
+            chain = detect_arm_chain(seed, d2, 11)
+        except ChainNotFoundError:
+            assert expected == []
+            return
+        assert [(c.score, c.delta1, c.values) for c in chain.candidates] == expected
 
     # Below ~9.4e5 every first step of a d2 = 200 chain drifts past a quarter
     # wind within the ten scored steps; further out the per-step bend

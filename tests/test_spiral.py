@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootspiral import spiral
 
@@ -23,6 +25,11 @@ def arctan_series(x: float, terms: int = 60) -> float:
 def fsum_angle(n: int) -> float:
     """Correctly rounded sum of the float64 increments for k = 1 .. n-1."""
     return math.fsum(np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64))).tolist())
+
+
+def one_array_sum(lo: int, hi: int) -> float:
+    """numpy's pairwise sum of the increments for k in [lo, hi), taken as one array."""
+    return float(np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64))).sum())
 
 
 def mp_winding_gap(n: int) -> float:
@@ -83,6 +90,75 @@ class TestAngleIncrement:
     def test_monotone_decreasing(self):
         vals = [spiral.angle_increment(n) for n in (1, 2, 3, 10, 100, 10**6)]
         assert vals == sorted(vals, reverse=True)
+
+
+class TestIncrements:
+    def test_in_place_equals_the_expression(self):
+        n = spiral._AUTO_TABLE_LIMIT
+        expected = np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64)))
+        assert np.array_equal(spiral._increments(1, n).view(np.int64), expected.view(np.int64))
+
+    def test_libm_increment_within_one_ulp_of_the_summed_one(self):
+        # angle_increment uses libm's atan, the sums numpy's vectorised arctan;
+        # the two may round differently (numpy with AVX-512 does at k = 68)
+        summed = spiral._increments(1, 1 << 16)
+        libm = np.array([spiral.angle_increment(k) for k in range(1, 1 << 16)])
+        assert bool(np.all(np.abs(libm - summed) <= np.spacing(summed)))
+
+
+class TestBlockedSum:
+    BLOCK = 1 << 16
+
+    @pytest.mark.parametrize("lo", [1, 2_200_001, 10**8])
+    @pytest.mark.parametrize(
+        "length", [1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, (1 << 21) - 1, 1 << 21]
+    )
+    def test_equals_one_array_sum(self, lo, length):
+        assert spiral._increment_sum(lo, lo + length) == one_array_sum(lo, lo + length)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lo=st.integers(1, 10**9), length=st.integers(0, 1 << 21))
+    def test_equals_one_array_sum_anywhere(self, lo, length):
+        assert spiral._increment_sum(lo, lo + length) == one_array_sum(lo, lo + length)
+
+    def test_chunk_peaks_below_2mb(self):
+        spiral._increments(1, 2)  # import numpy outside the traced region
+        tracemalloc.start()
+        try:
+            spiral.angle_between(1, 1 + spiral._STREAM_CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+class TestAnglesBetween:
+    def each(self, spans):
+        return [spiral.angle_between(n1, n2) for n1, n2 in spans]
+
+    def test_overlapping_chain_steps(self):
+        seed = 10**8
+        spans = [(seed + 10 * d, seed + 11 * d + 180) for d in range(62_818, 62_848, 2)]
+        assert spiral.angles_between(spans) == self.each(spans)
+
+    def test_spans_longer_than_a_chunk(self):
+        a, chunk = 10**8, spiral._STREAM_CHUNK
+        spans = [(a, a + chunk + 100), (a + 8, a + 2 * chunk + 9), (a + 3, a + 3)]
+        assert spiral.angles_between(spans) == self.each(spans)
+
+    def test_spans_too_far_apart_to_share(self):
+        spans = [(1, 5000), (10**8, 10**8 + 70_000), (17, 53)]
+        assert spiral.angles_between(spans) == self.each(spans)
+
+    def test_empty(self):
+        assert spiral.angles_between([]) == []
+        assert spiral.angles_between([(5, 5)]) == [0.0]
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            spiral.angles_between([(1, 10), (10, 9)])
+        with pytest.raises(ValueError):
+            spiral.angles_between([(0, 10)])
 
 
 class TestTotalAngle:
@@ -360,4 +436,6 @@ def test_memo_streams_without_the_lock(empty_memo, monkeypatch):
 
     monkeypatch.setattr(spiral, "_increments", spy)
     spiral.total_angle(1 + 3 * spiral._STREAM_CHUNK + 5)
-    assert len(held) == 4 and not any(held)
+    # three full chunks of _STREAM_CHUNK // _TABLE_BLOCK blocks each, then one 5-term block
+    blocks = 3 * (spiral._STREAM_CHUNK // spiral._TABLE_BLOCK) + 1
+    assert len(held) == blocks == 97 and not any(held)
