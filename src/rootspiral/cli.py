@@ -61,6 +61,8 @@ def _window_bounds(text: str) -> tuple[int, int]:
 def _window(text: str) -> str:
     """argparse type: a valid index window of at most _MAX_SCAN terms, kept as typed."""
     lo, hi = _window_bounds(text)
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"window {text!r} is reversed: {hi} < {lo}")
     if hi - lo > _MAX_SCAN:
         raise argparse.ArgumentTypeError(f"window spans {hi - lo} terms, at most {_MAX_SCAN}")
     return text
@@ -276,14 +278,17 @@ def cmd_residues(args: argparse.Namespace, fx: FixtureSet) -> Report:
     report.data["ending_cycle"] = list(cyc.cycle)
     report.data["ending_period"] = cyc.period
     report.data["ending_alphabet"] = sorted(residues.ending_alphabet(poly))
-    prof = residues.sd_profile(poly, args.terms)
-    report.data["sd_ordered"] = list(prof.ordered_distinct)
-    pat = prof.diff_pattern
-    report.data["sd_pattern"] = (
-        f"constant {pat.step}" if pat.kind == "constant"
-        else f"cycle {pat.cycle}" if pat.kind == "cycle"
-        else "unrecognized"
-    )
+    if any(poly(t) < 0 for t in range(1, args.terms + 1)):  # digit sums undefined below 0
+        report.data["sd_ordered"], report.data["sd_pattern"] = [], "n/a"
+    else:
+        prof = residues.sd_profile(poly, args.terms)
+        report.data["sd_ordered"] = list(prof.ordered_distinct)
+        pat = prof.diff_pattern
+        report.data["sd_pattern"] = (
+            f"constant {pat.step}" if pat.kind == "constant"
+            else f"cycle {pat.cycle}" if pat.kind == "cycle"
+            else "unrecognized"
+        )
     for k in (2, 3, 5):
         pos = residues.divisibility_positions(poly, k)
         report.data[f"divisible_by_{k}"] = sorted(pos)

@@ -375,27 +375,23 @@ def _chain_values(seed: int, delta1: int, d2: int, count: int) -> list[int]:
     return vals
 
 
-def _drift(vals: list[int], i: int) -> float:
-    """Angle of chain step i minus one full wind, by the direct-summation oracle."""
-    return spiral.angle_between(vals[i], vals[i + 1]) - spiral.TWO_PI
-
-
 def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     """Find the arm chain of the given second difference starting at seed.
 
     Candidate first steps are the even integers within +-15 of
     2*pi*sqrt(seed) (one wind); each candidate is extended by the constant
     d2 recurrence and scored by its worst per-step angular drift over the
-    first ten steps, measured with the direct-summation angle oracle
-    (spiral.angles_between sums step i of every candidate from one shared
-    set of increments, bit for bit as angle_between would).  The
-    per-step angle tends to sqrt(2*d2) radians, so one-wind-per-step chains
-    need sqrt(2*d2) near 2*pi, i.e. d2 near 2*pi^2 ~ 19.7; that is why the
-    observed prime-rich chains carry d2 in {18, 20, 22}.  Candidates whose
-    drift reaches a quarter wind within those ten steps are discarded; the
-    drifts of later steps are computed for the best candidate only.  If one
-    of those reaches a quarter wind too, ChainNotFoundError is raised, so
-    every returned drift is below pi/2 in absolute value.  (The per-step
+    first ten steps, summed directly by spiral.angles_between (step i of
+    every candidate in one call, so the overlapping steps share one set of
+    increments).  The per-step angle tends to sqrt(2*d2) radians, so
+    one-wind-per-step chains need sqrt(2*d2) near 2*pi, i.e. d2 near
+    2*pi^2 ~ 19.7; that is why the observed prime-rich chains carry d2 in
+    {18, 20, 22}.  Candidates whose drift reaches a quarter wind within those
+    ten steps are discarded; the drifts of later steps are computed for the
+    best candidate only, in one angles_between call over its consecutive
+    steps (they touch but do not overlap, so each is summed block by block).
+    If one of those reaches a quarter wind too, ChainNotFoundError is raised,
+    so every returned drift is below pi/2 in absolute value.  (The per-step
     bend d2/sqrt(n) shrinks with n: from seed ~9.4e5 on, a d2 = 200 chain
     passes the ten-step score and drifts away only later.)
     """
@@ -422,7 +418,8 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
         raise ChainNotFoundError(f"no admissible first step near 2*pi*sqrt({seed})")
     candidates.sort(key=lambda item: (item[0], item[1]))
     _, delta1, vals, drifts = candidates[0]
-    drifts += [_drift(vals, i) for i in range(_SCORE_STEPS, length - 1)]
+    later = spiral.angles_between([(vals[i], vals[i + 1]) for i in range(_SCORE_STEPS, length - 1)])
+    drifts += [angle - spiral.TWO_PI for angle in later]
     drifts = drifts[: length - 1]
     for i, drift in enumerate(drifts):
         if abs(drift) >= math.pi / 2.0:

@@ -14,12 +14,12 @@ numpy is imported only by the functions that sum angles, so importing this
 module (and any command that never sums an angle) does not load it.  The
 prefix table starts as the single entry total_angle(1) = 0 and grows in
 blocks of 2^16 entries written in place into one preallocated array, so a
-build holds the old and new tables plus one block of temporaries.  Streamed
-sums split each chunk the way numpy's pairwise summation splits an array,
-down to blocks of 2^16 increments, so they hold one block at a time and
-equal the sum of the whole chunk as one array bit for bit.  Increments are
-computed in place, in one buffer per block.  angles_between sums many
-overlapping spans from one shared set of increments.
+build holds the old and new tables plus one block of temporaries.  Spans are
+streamed by angles_between alone: it splits each chunk the way numpy's
+pairwise summation splits an array, down to blocks of 2^16 increments, so a
+sum holds one block at a time and equals the sum of the whole chunk as one
+array bit for bit; only overlapping spans share one array of increments.
+Increments are computed in place, in one buffer per block.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -102,7 +102,7 @@ _prefix: Sequence[float] = (0.0,)
 _units = (0, 0)
 # _chunks[j] holds the float64 sum of the increments for k in
 # [1 + j*_STREAM_CHUNK, 1 + (j+1)*_STREAM_CHUNK): the parts that
-# _streamed_angle(1, n) adds up.  It only grows, by appends under _lock.
+# angle_between(1, n) adds up.  It only grows, by appends under _lock.
 _chunks: list[float] = []
 
 
@@ -165,14 +165,6 @@ def _increment_sum(lo: int, hi: int) -> float:
     return _pairwise(lo, hi, _block_sum)
 
 
-def _streamed_angle(n1: int, n2: int) -> float:
-    """sum_{k=n1}^{n2-1} arctan(1/sqrt(k)) by chunked pairwise summation."""
-    parts = []
-    for a in range(n1, n2, _STREAM_CHUNK):
-        parts.append(_increment_sum(a, min(a + _STREAM_CHUNK, n2)))
-    return math.fsum(parts)
-
-
 def _chunk_sums(count: int) -> list[float]:
     """The first count full-chunk sums of the stream from k = 1, memoised.
 
@@ -193,40 +185,39 @@ def total_angle(n: int) -> float:
     """Cumulative angle of ray sqrt(n): sum_{k=1}^{n-1} arctan(1/sqrt(k)).
 
     Correctly rounded for n <= 2.2e6, read from an exact prefix table grown
-    on demand.  Beyond that it equals _streamed_angle(1, n) bit for bit, with
+    on demand.  Beyond that it equals angle_between(1, n) bit for bit, with
     absolute error below 1e-10 rad out to n = 1e8 (measured against mpmath):
     the full-chunk sums are memoised, so the first call up to n streams O(n)
-    terms and later calls up to n stream only the final partial chunk.
+    terms and later calls up to n sum only the final, partial chunk.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _AUTO_TABLE_LIMIT:
         full = (n - 1) // _STREAM_CHUNK
-        return math.fsum([*_chunk_sums(full), _streamed_angle(1 + full * _STREAM_CHUNK, n)])
+        return math.fsum([*_chunk_sums(full), _increment_sum(1 + full * _STREAM_CHUNK, n)])
     return float(_prefix_table(n - 1)[n - 1])
 
 
 def angle_between(n1: int, n2: int) -> float:
     """Partial angle sum_{k=n1}^{n2-1} arctan(1/sqrt(k)), always streamed.
 
-    This is the direct-summation oracle used by tests and by arm-chain
-    detection: it never goes through the asymptotic form, and unlike a
-    difference of two table lookups it is free of cancellation error.
+    The direct-summation oracle used by tests and square_arm_angle: it never
+    goes through the asymptotic form, and unlike a difference of two table
+    lookups it is free of cancellation error.  It is
+    angles_between([(n1, n2)])[0].
     """
-    if not 1 <= n1 <= n2:
-        raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
-    return _streamed_angle(n1, n2)
+    return angles_between([(n1, n2)])[0]
 
 
 def angles_between(spans: Sequence[tuple[int, int]]) -> list[float]:
-    """angle_between(n1, n2) for each span (n1, n2), bit for bit.
+    """angle_between(n1, n2) for each span (n1, n2), streamed in 2^21-term chunks.
 
-    Each span is streamed in the chunks angle_between uses, and the chunks
-    at the same offset into their spans are summed from one shared array of
-    increments, so overlapping spans, such as the steps of neighbouring
-    chains, compute each increment once.  That array covers the union of
-    those chunks, and is at most two chunks long (32 MiB); chunks spread
-    wider apart are summed block by block, as angle_between sums them.
+    The one routine that streams angle sums.  Chunks at the same offset into
+    their spans share one array of increments if they overlap (their union is
+    shorter than their lengths added up) and the union spans at most two
+    chunks (32 MiB), as step i of neighbouring candidate chains does.  Any
+    other chunk, as of one span or of disjoint spans, is summed block by
+    block.  A span's sum is the same bit for bit either way.
     """
     for n1, n2 in spans:
         if not 1 <= n1 <= n2:
@@ -241,7 +232,7 @@ def angles_between(spans: Sequence[tuple[int, int]]) -> list[float]:
         ]
         base = min(a for _, a, _ in chunks)
         top = max(b for _, _, b in chunks)
-        if top - base > 2 * _STREAM_CHUNK:
+        if top - base > 2 * _STREAM_CHUNK or top - base >= sum(b - a for _, a, b in chunks):
             block_sum = _block_sum
         else:
             incs = _increments(base, top)

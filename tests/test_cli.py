@@ -113,6 +113,11 @@ class TestFactors:
             "6,413,7",
         ])
 
+    def test_empty_window(self, capsys):
+        code, out = run(capsys, "--json", "factors", "B3", "--window", "1:1")
+        assert code == 0
+        assert json.loads(out)["data"]["occurrence_csv"] == "index,value,smallest_prime_factor"
+
     def test_window_dotdot_syntax(self, capsys):
         code, out = run(capsys, "factors", "K5", "--bound", "37", "--window", "1..6")
         assert code == 0
@@ -182,6 +187,19 @@ class TestResidues:
         code, out = run(capsys, "residues", "10,50,67")
         assert code == 0
         assert "ending_cycle: [7]" in out
+
+    @pytest.mark.parametrize(
+        "arm, ending_cycle, code",
+        [("1,-10,0", [1, 4, 9, 6, 5, 6, 9, 4, 1, 0], 1), ("0,0,-3", [7], 0)],
+    )
+    def test_negative_terms_leave_digit_sums_na(self, capsys, arm, ending_cycle, code):
+        assert main(["--json", "residues", arm]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        data = json.loads(captured.out)["data"]
+        assert data["sd_ordered"] == [] and data["sd_pattern"] == "n/a"
+        assert data["ending_cycle"] == ending_cycle
+        assert data["six_classes"] == ["n/a"] * 6
 
 
 class TestDetect:
@@ -291,6 +309,7 @@ class TestUsageErrors:
             ("density", "B3", "--len", "100000000"),
             ("factors", "B3", "--window", "1:10002"),
             ("factors", "B3", "--window", "5..100000000"),
+            ("factors", "B3", "--window", "5:2"),
             ("residues", "Q3", "--terms", "10001"),
             ("residues", "Q3", "--terms", "4"),
             ("plot", "ulam", "--n", "200001"),

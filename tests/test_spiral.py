@@ -150,6 +150,21 @@ class TestAnglesBetween:
         spans = [(1, 5000), (10**8, 10**8 + 70_000), (17, 53)]
         assert spiral.angles_between(spans) == self.each(spans)
 
+    def test_disjoint_spans_within_two_chunks_are_summed_block_by_block(self):
+        # the union of these chunks fits in two chunks, but they do not overlap,
+        # so sharing one array of increments would only cost memory
+        a = 10**8
+        spans = [(a, a + 2**20), (a + 2**21, a + 2**21 + 2**20)]
+        expected = self.each(spans)
+        tracemalloc.start()
+        try:
+            got = spiral.angles_between(spans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 2 * 2**20
+
     def test_empty(self):
         assert spiral.angles_between([]) == []
         assert spiral.angles_between([(5, 5)]) == [0.0]
@@ -245,11 +260,11 @@ class TestTotalAngle:
     def test_memo_equals_streaming_from_one_at_chunk_boundaries(self, empty_memo, j):
         for offset in (-1, 0, 1, 2):
             n = 1 + j * spiral._STREAM_CHUNK + offset
-            assert spiral.total_angle(n) == spiral._streamed_angle(1, n), n
+            assert spiral.total_angle(n) == spiral.angle_between(1, n), n
 
     def test_memo_equals_streaming_from_one_past_the_table(self, empty_memo):
         for n in (spiral._AUTO_TABLE_LIMIT + 1, spiral._AUTO_TABLE_LIMIT + 2):
-            assert spiral.total_angle(n) == spiral._streamed_angle(1, n), n
+            assert spiral.total_angle(n) == spiral.angle_between(1, n), n
 
     def test_memo_grown_in_stages_equals_one_step(self, empty_memo):
         chunk = spiral._STREAM_CHUNK
@@ -263,7 +278,7 @@ class TestTotalAngle:
     def test_streamed_matches_table(self):
         n = 50_000
         table_value = spiral.total_angle(n)
-        assert spiral._streamed_angle(1, n) == pytest.approx(table_value, abs=1e-10)
+        assert spiral.angle_between(1, n) == pytest.approx(table_value, abs=1e-10)
 
 
 class TestTotalAngleFast:
@@ -390,6 +405,11 @@ class TestAngleBetween:
     def test_empty_range(self):
         assert spiral.angle_between(5, 5) == 0.0
 
+    @pytest.mark.parametrize("n1, n2", [(0, 5), (10, 9)])
+    def test_domain(self, n1, n2):
+        with pytest.raises(ValueError):
+            spiral.angle_between(n1, n2)
+
     def test_additivity(self):
         whole = spiral.angle_between(10, 5000)
         split = spiral.angle_between(10, 700) + spiral.angle_between(700, 5000)
@@ -423,7 +443,7 @@ def test_concurrent_memo_growth(empty_memo):
         sys.setswitchinterval(interval)
     assert len(spiral._chunks) == 4  # a chunk appended twice would lengthen the memo
     for n, got in zip(ns, results):
-        assert got == spiral.total_angle(n) == spiral._streamed_angle(1, n)
+        assert got == spiral.total_angle(n) == spiral.angle_between(1, n)
 
 
 def test_memo_streams_without_the_lock(empty_memo, monkeypatch):
