@@ -61,6 +61,8 @@ def _window_bounds(text: str) -> tuple[int, int]:
 def _window(text: str) -> str:
     """argparse type: a valid index window of at most _MAX_SCAN terms, kept as typed."""
     lo, hi = _window_bounds(text)
+    if lo < 1:
+        raise argparse.ArgumentTypeError(f"window {text!r} starts at {lo}; arms are indexed from 1")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"window {text!r} is reversed: {hi} < {lo}")
     if hi - lo > _MAX_SCAN:

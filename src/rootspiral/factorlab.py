@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import spiral
+from . import quad, spiral
 from .quad import VALUE_LIMIT, QuadPoly
 
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
@@ -366,15 +366,6 @@ _SCORE_STEPS = 10
 _DELTA_WINDOW = 15.0
 
 
-def _chain_values(seed: int, delta1: int, d2: int, count: int) -> list[int]:
-    vals = [seed]
-    step = delta1
-    while len(vals) < count:
-        vals.append(vals[-1] + step)
-        step += d2
-    return vals
-
-
 def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     """Find the arm chain of the given second difference starting at seed.
 
@@ -389,11 +380,10 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     {18, 20, 22}.  Candidates whose drift reaches a quarter wind within those
     ten steps are discarded; the drifts of later steps are computed for the
     best candidate only, in one angles_between call over its consecutive
-    steps (they touch but do not overlap, so each is summed block by block).
-    If one of those reaches a quarter wind too, ChainNotFoundError is raised,
-    so every returned drift is below pi/2 in absolute value.  (The per-step
-    bend d2/sqrt(n) shrinks with n: from seed ~9.4e5 on, a d2 = 200 chain
-    passes the ten-step score and drifts away only later.)
+    steps.  If one of those reaches a quarter wind too, ChainNotFoundError is
+    raised, so every returned drift is below pi/2 in absolute value.  (The
+    per-step bend d2/sqrt(n) shrinks with n: from seed ~9.4e5 on, a d2 = 200
+    chain passes the ten-step score and drifts away only later.)
     """
     if seed < 1:
         raise ValueError(f"seed must be >= 1, got {seed}")
@@ -405,7 +395,9 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     hi = int(math.floor(base + _DELTA_WINDOW))
     count = max(_SCORE_STEPS + 1, length)
     delta1s = range(lo, hi + 1, 2)
-    chains = [_chain_values(seed, delta1, d2, count) for delta1 in delta1s]
+    chains = [
+        quad.extend([seed, seed + delta1, seed + 2 * delta1 + d2], count - 3) for delta1 in delta1s
+    ]
     # step i of every candidate at once: the candidates' steps overlap
     scored = [spiral.angles_between([(v[i], v[i + 1]) for v in chains]) for i in range(_SCORE_STEPS)]
     candidates = []

@@ -6,20 +6,19 @@ This module computes per-triangle angles, high-accuracy cumulative angles,
 the asymptotic angle constant, polar placement of any natural number, and
 the classical limit quantities (winding gap -> pi, square-to-square angle
 -> 360/pi degrees).  Cumulative angles come from a correctly rounded prefix
-table up to 2.2e6 and, beyond it, from memoised sums of fixed chunks of
-2^21 increments, so a query at or below an earlier one costs at most one
-chunk.
+table up to 2.2e6 and, beyond it, from memoised sums of fixed blocks of
+increments, so a query at or below an earlier one sums at most one block.
 
-numpy is imported only by the functions that sum angles, so importing this
-module (and any command that never sums an angle) does not load it.  The
-prefix table starts as the single entry total_angle(1) = 0 and grows in
-blocks of 2^16 entries written in place into one preallocated array, so a
-build holds the old and new tables plus one block of temporaries.  Spans are
-streamed by angles_between alone: it splits each chunk the way numpy's
-pairwise summation splits an array, down to blocks of 2^16 increments, so a
-sum holds one block at a time and equals the sum of the whole chunk as one
-array bit for bit; only overlapping spans share one array of increments.
-Increments are computed in place, in one buffer per block.
+Every angle sum works in the same blocks of 2^16 increments (_BLOCK).  numpy
+is imported only by the functions that sum angles, so importing this module
+(and any command that never sums an angle) does not load it.  The prefix
+table starts as the single entry total_angle(1) = 0 and grows block by
+block, written in place into one preallocated array, so a build holds the
+old and new tables plus one block of temporaries.  Spans are streamed by
+angles_between alone: it sums each span one block at a time with numpy and
+merges the block sums with math.fsum, so a sum holds at most two blocks of
+increments (1 MiB).  Increments are computed in place, in one buffer per
+block.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -30,7 +29,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,12 +47,11 @@ C2 = -2.157782996659446
 _TAIL_COEFFS = ((-1.0 / 6.0, -0.5), (1.0 / 120.0, -1.5), (1.0 / 840.0, -2.5))
 
 # total_angle builds a memoized prefix table for n up to this bound and
-# memoized sums of _STREAM_CHUNK-term chunks (_chunks) beyond it.
+# memoized sums of _BLOCK-term blocks (_blocks) beyond it.
 _AUTO_TABLE_LIMIT = 2_200_000
-_STREAM_CHUNK = 1 << 21
-# entries of the prefix table computed per step of its growth, and the most
-# increments a streamed sum holds at once
-_TABLE_BLOCK = 1 << 16
+# entries of the prefix table computed per step of its growth, and the terms
+# of a streamed sum taken at once
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -93,17 +91,17 @@ def _increments(lo: int, hi: int) -> np.ndarray:
 # running int64 sums (_units) are exact, and one float addition per entry
 # rounds the exact prefix once.  It starts as the one entry (0.0,), without
 # numpy; each growth preallocates the grown array, copies the old entries and
-# fills the rest in _TABLE_BLOCK-entry blocks, carrying _units across them, so
+# fills the rest in _BLOCK-entry blocks, carrying _units across them, so
 # every entry is the same however the table was grown.  The table is grown
 # under _lock and published by rebinding _prefix, so readers index the array
 # they fetched without it.
 _lock = threading.Lock()
 _prefix: Sequence[float] = (0.0,)
 _units = (0, 0)
-# _chunks[j] holds the float64 sum of the increments for k in
-# [1 + j*_STREAM_CHUNK, 1 + (j+1)*_STREAM_CHUNK): the parts that
-# angle_between(1, n) adds up.  It only grows, by appends under _lock.
-_chunks: list[float] = []
+# _blocks[j] holds the float64 sum of the increments for k in
+# [1 + j*_BLOCK, 1 + (j+1)*_BLOCK): the parts that angle_between(1, n) adds
+# up.  It only grows, by appends under _lock.
+_blocks: list[float] = []
 
 
 def _prefix_table(n: int) -> Sequence[float]:
@@ -123,8 +121,8 @@ def _prefix_table(n: int) -> Sequence[float]:
         grown = np.empty(size)
         grown[: len(table)] = table
         coarse_sum, fine_sum = _units
-        for lo in range(len(table), size, _TABLE_BLOCK):
-            hi = min(lo + _TABLE_BLOCK, size)
+        for lo in range(len(table), size, _BLOCK):
+            hi = min(lo + _BLOCK, size)
             fine, coarse = np.modf(np.ldexp(_increments(lo, hi), 30))
             coarse = np.cumsum(coarse.astype(np.int64)) + coarse_sum
             fine = np.cumsum(np.ldexp(fine, 34).astype(np.int64)) + fine_sum
@@ -135,50 +133,25 @@ def _prefix_table(n: int) -> Sequence[float]:
         return grown
 
 
-def _pairwise(lo: int, hi: int, block_sum: Callable[[int, int], float]) -> float:
-    """numpy's pairwise sum of the span [lo, hi), from sums of blocks of it.
-
-    numpy sums more than 128 terms as the sum of two pieces, the first of
-    n // 2 terms rounded down to a multiple of 8.  This splits the same way
-    until a piece has at most _TABLE_BLOCK terms, and takes block_sum(a, b),
-    numpy's .sum() of that piece, so the result equals .sum() of the whole
-    span bit for bit.
-    """
-    n = hi - lo
-    if n <= _TABLE_BLOCK:
-        return block_sum(lo, hi)
-    half = n // 2
-    half -= half % 8
-    return _pairwise(lo, lo + half, block_sum) + _pairwise(lo + half, hi, block_sum)
-
-
 def _block_sum(lo: int, hi: int) -> float:
+    """numpy's float64 sum of the increments for k in [lo, hi), one block at most."""
     return float(_increments(lo, hi).sum())
 
 
-def _increment_sum(lo: int, hi: int) -> float:
-    """Pairwise float64 sum of the increments for k in [lo, hi).
-
-    Equal bit for bit to .sum() of _increments(lo, hi), but computed in
-    blocks of at most _TABLE_BLOCK increments, so it holds one block at a time.
-    """
-    return _pairwise(lo, hi, _block_sum)
-
-
-def _chunk_sums(count: int) -> list[float]:
-    """The first count full-chunk sums of the stream from k = 1, memoised.
+def _block_sums(count: int) -> list[float]:
+    """The first count block sums of the stream from k = 1, memoised.
 
     Each sum is computed without the lock, and appended under it only if no
-    other thread appended that chunk meanwhile, so streaming never blocks.
+    other thread appended that block meanwhile, so streaming never blocks.
     """
-    while len(_chunks) < count:
-        j = len(_chunks)
-        a = 1 + j * _STREAM_CHUNK
-        part = _increment_sum(a, a + _STREAM_CHUNK)
+    while len(_blocks) < count:
+        j = len(_blocks)
+        a = 1 + j * _BLOCK
+        part = _block_sum(a, a + _BLOCK)
         with _lock:
-            if len(_chunks) == j:
-                _chunks.append(part)
-    return _chunks[:count]
+            if len(_blocks) == j:
+                _blocks.append(part)
+    return _blocks[:count]
 
 
 def total_angle(n: int) -> float:
@@ -187,14 +160,15 @@ def total_angle(n: int) -> float:
     Correctly rounded for n <= 2.2e6, read from an exact prefix table grown
     on demand.  Beyond that it equals angle_between(1, n) bit for bit, with
     absolute error below 1e-10 rad out to n = 1e8 (measured against mpmath):
-    the full-chunk sums are memoised, so the first call up to n streams O(n)
-    terms and later calls up to n sum only the final, partial chunk.
+    the sums of the full 2^16-term blocks are memoised, so the first call up
+    to n streams O(n) terms and later calls up to n sum only the final,
+    partial block.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _AUTO_TABLE_LIMIT:
-        full = (n - 1) // _STREAM_CHUNK
-        return math.fsum([*_chunk_sums(full), _increment_sum(1 + full * _STREAM_CHUNK, n)])
+        full = (n - 1) // _BLOCK
+        return math.fsum([*_block_sums(full), _block_sum(1 + full * _BLOCK, n)])
     return float(_prefix_table(n - 1)[n - 1])
 
 
@@ -210,38 +184,36 @@ def angle_between(n1: int, n2: int) -> float:
 
 
 def angles_between(spans: Sequence[tuple[int, int]]) -> list[float]:
-    """angle_between(n1, n2) for each span (n1, n2), streamed in 2^21-term chunks.
+    """angle_between(n1, n2) for each span (n1, n2), streamed in 2^16-term blocks.
 
-    The one routine that streams angle sums.  Chunks at the same offset into
-    their spans share one array of increments if they overlap (their union is
-    shorter than their lengths added up) and the union spans at most two
-    chunks (32 MiB), as step i of neighbouring candidate chains does.  Any
-    other chunk, as of one span or of disjoint spans, is summed block by
-    block.  A span's sum is the same bit for bit either way.
+    The one routine that streams angle sums.  Each span is cut into blocks
+    starting at n1, n1 + 2^16, ...; each block is summed with numpy and a
+    span's block sums are merged with math.fsum.  The blocks at the same
+    offset into their spans share one array of increments when their union
+    spans at most two blocks (1 MiB), as step i of neighbouring candidate
+    chains does; otherwise each is summed on its own.  A span's sum is the
+    same bit for bit either way.
     """
     for n1, n2 in spans:
         if not 1 <= n1 <= n2:
             raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
     parts: list[list[float]] = [[] for _ in spans]
     longest = max((n2 - n1 for n1, n2 in spans), default=0)
-    for offset in range(0, longest, _STREAM_CHUNK):
-        chunks = [
-            (i, n1 + offset, min(n1 + offset + _STREAM_CHUNK, n2))
+    for offset in range(0, longest, _BLOCK):
+        blocks = [
+            (i, n1 + offset, min(n1 + offset + _BLOCK, n2))
             for i, (n1, n2) in enumerate(spans)
             if n1 + offset < n2
         ]
-        base = min(a for _, a, _ in chunks)
-        top = max(b for _, _, b in chunks)
-        if top - base > 2 * _STREAM_CHUNK or top - base >= sum(b - a for _, a, b in chunks):
-            block_sum = _block_sum
+        base = min(a for _, a, _ in blocks)
+        top = max(b for _, _, b in blocks)
+        if top - base > 2 * _BLOCK:
+            for i, a, b in blocks:
+                parts[i].append(_block_sum(a, b))
         else:
             incs = _increments(base, top)
-
-            def block_sum(a: int, b: int) -> float:
-                return float(incs[a - base : b - base].sum())
-
-        for i, a, b in chunks:
-            parts[i].append(_pairwise(a, b, block_sum))
+            for i, a, b in blocks:
+                parts[i].append(float(incs[a - base : b - base].sum()))
     return [math.fsum(p) for p in parts]
 
 

@@ -310,6 +310,8 @@ class TestUsageErrors:
             ("factors", "B3", "--window", "1:10002"),
             ("factors", "B3", "--window", "5..100000000"),
             ("factors", "B3", "--window", "5:2"),
+            ("factors", "B3", "--window=-5:3"),  # arms are indexed from 1
+            ("factors", "B3", "--window", "0:3"),
             ("residues", "Q3", "--terms", "10001"),
             ("residues", "Q3", "--terms", "4"),
             ("plot", "ulam", "--n", "200001"),

@@ -22,14 +22,14 @@ def arctan_series(x: float, terms: int = 60) -> float:
     return math.fsum((-1) ** k * x ** (2 * k + 1) / (2 * k + 1) for k in range(terms))
 
 
+def fsum_span(lo: int, hi: int) -> float:
+    """Correctly rounded sum of the float64 increments for k in [lo, hi)."""
+    return math.fsum(np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64))).tolist())
+
+
 def fsum_angle(n: int) -> float:
     """Correctly rounded sum of the float64 increments for k = 1 .. n-1."""
-    return math.fsum(np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64))).tolist())
-
-
-def one_array_sum(lo: int, hi: int) -> float:
-    """numpy's pairwise sum of the increments for k in [lo, hi), taken as one array."""
-    return float(np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64))).sum())
+    return fsum_span(1, n)
 
 
 def mp_winding_gap(n: int) -> float:
@@ -63,10 +63,10 @@ def empty_table(monkeypatch):
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    """Empty the chunk-sum memo now and on each call; the shared one is restored afterwards."""
+    """Empty the block-sum memo now and on each call; the shared one is restored afterwards."""
 
     def empty():
-        monkeypatch.setattr(spiral, "_chunks", [])
+        monkeypatch.setattr(spiral, "_blocks", [])
 
     empty()
     return empty
@@ -109,23 +109,28 @@ class TestIncrements:
 class TestBlockedSum:
     BLOCK = 1 << 16
 
+    @staticmethod
+    def assert_within_2_ulp_of_fsum(lo, length):
+        exact = fsum_span(lo, lo + length)
+        assert abs(spiral.angle_between(lo, lo + length) - exact) <= 2 * math.ulp(exact)
+
     @pytest.mark.parametrize("lo", [1, 2_200_001, 10**8])
     @pytest.mark.parametrize(
         "length", [1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, (1 << 21) - 1, 1 << 21]
     )
-    def test_equals_one_array_sum(self, lo, length):
-        assert spiral._increment_sum(lo, lo + length) == one_array_sum(lo, lo + length)
+    def test_within_2_ulp_of_fsum(self, lo, length):
+        self.assert_within_2_ulp_of_fsum(lo, length)
 
     @settings(max_examples=30, deadline=None)
     @given(lo=st.integers(1, 10**9), length=st.integers(0, 1 << 21))
-    def test_equals_one_array_sum_anywhere(self, lo, length):
-        assert spiral._increment_sum(lo, lo + length) == one_array_sum(lo, lo + length)
+    def test_within_2_ulp_of_fsum_anywhere(self, lo, length):
+        self.assert_within_2_ulp_of_fsum(lo, length)
 
     def test_chunk_peaks_below_2mb(self):
         spiral._increments(1, 2)  # import numpy outside the traced region
         tracemalloc.start()
         try:
-            spiral.angle_between(1, 1 + spiral._STREAM_CHUNK)
+            spiral.angle_between(1, 1 + (1 << 21))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -142,17 +147,34 @@ class TestAnglesBetween:
         assert spiral.angles_between(spans) == self.each(spans)
 
     def test_spans_longer_than_a_chunk(self):
-        a, chunk = 10**8, spiral._STREAM_CHUNK
+        a, chunk = 10**8, 1 << 21
         spans = [(a, a + chunk + 100), (a + 8, a + 2 * chunk + 9), (a + 3, a + 3)]
         assert spiral.angles_between(spans) == self.each(spans)
+
+    @pytest.mark.parametrize("gap, arrays", [(0, 4), (1, 7)])
+    def test_sharing_boundary(self, monkeypatch, gap, arrays):
+        # at the first three offsets the blocks' union spans two blocks, so they
+        # share one array, or two blocks and a term, so each has its own
+        a, block = 10**8, spiral._BLOCK
+        spans = [(a, a + 3 * block + 5), (a + block + gap, a + 4 * block + gap)]
+        expected = self.each(spans)
+        calls = []
+        increments = spiral._increments
+
+        def spy(lo, hi):
+            calls.append(hi - lo)
+            return increments(lo, hi)
+
+        monkeypatch.setattr(spiral, "_increments", spy)
+        assert spiral.angles_between(spans) == expected
+        assert len(calls) == arrays and max(calls) <= 2 * block
 
     def test_spans_too_far_apart_to_share(self):
         spans = [(1, 5000), (10**8, 10**8 + 70_000), (17, 53)]
         assert spiral.angles_between(spans) == self.each(spans)
 
     def test_disjoint_spans_within_two_chunks_are_summed_block_by_block(self):
-        # the union of these chunks fits in two chunks, but they do not overlap,
-        # so sharing one array of increments would only cost memory
+        # the blocks at each offset lie 2^21 apart, too far to share one array
         a = 10**8
         spans = [(a, a + 2**20), (a + 2**21, a + 2**21 + 2**20)]
         expected = self.each(spans)
@@ -226,7 +248,7 @@ class TestTotalAngle:
         assert np.array_equal(staged, one_step)
 
     def test_block_edges_equal_one_step(self, empty_table):
-        block = spiral._TABLE_BLOCK
+        block = spiral._BLOCK
         sizes = (block - 1, block, block + 1, 3 * block + 1)
         one_step = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1).view(np.int64)
         for size in sizes:  # each grown from the initial state
@@ -256,10 +278,10 @@ class TestTotalAngle:
             assert type(spiral.total_angle(n)) is float
         assert type(spiral.polar_of(1000).angle_total) is float
 
-    @pytest.mark.parametrize("j", [2, 3, 4])
-    def test_memo_equals_streaming_from_one_at_chunk_boundaries(self, empty_memo, j):
+    @pytest.mark.parametrize("j", [34, 35, 128])
+    def test_memo_equals_streaming_from_one_at_block_boundaries(self, empty_memo, j):
         for offset in (-1, 0, 1, 2):
-            n = 1 + j * spiral._STREAM_CHUNK + offset
+            n = 1 + j * spiral._BLOCK + offset
             assert spiral.total_angle(n) == spiral.angle_between(1, n), n
 
     def test_memo_equals_streaming_from_one_past_the_table(self, empty_memo):
@@ -267,13 +289,13 @@ class TestTotalAngle:
             assert spiral.total_angle(n) == spiral.angle_between(1, n), n
 
     def test_memo_grown_in_stages_equals_one_step(self, empty_memo):
-        chunk = spiral._STREAM_CHUNK
-        for n in (spiral._AUTO_TABLE_LIMIT + 1, 1 + 3 * chunk, 1 + 3 * chunk + 5, 5 * chunk):
+        block = spiral._BLOCK
+        for n in (spiral._AUTO_TABLE_LIMIT + 1, 1 + 40 * block, 1 + 40 * block + 5, 80 * block):
             spiral.total_angle(n)
-        staged = spiral._chunks
+        staged = spiral._blocks
         empty_memo()
-        spiral.total_angle(5 * chunk)
-        assert len(staged) == 4 and staged == spiral._chunks
+        spiral.total_angle(80 * block)
+        assert len(staged) == 79 and staged == spiral._blocks
 
     def test_streamed_matches_table(self):
         n = 50_000
@@ -432,8 +454,8 @@ def test_concurrent_table_growth():
 
 
 def test_concurrent_memo_growth(empty_memo):
-    chunk = spiral._STREAM_CHUNK
-    ns = [spiral._AUTO_TABLE_LIMIT + 1, 1 + 3 * chunk, 4 * chunk + 7, 1 + 2 * chunk]
+    block = spiral._BLOCK
+    ns = [spiral._AUTO_TABLE_LIMIT + 1, 1 + 40 * block, 60 * block + 7, 1 + 36 * block]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -441,7 +463,7 @@ def test_concurrent_memo_growth(empty_memo):
             results = list(pool.map(spiral.total_angle, ns, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert len(spiral._chunks) == 4  # a chunk appended twice would lengthen the memo
+    assert len(spiral._blocks) == 60  # a block appended twice would lengthen the memo
     for n, got in zip(ns, results):
         assert got == spiral.total_angle(n) == spiral.angle_between(1, n)
 
@@ -455,7 +477,6 @@ def test_memo_streams_without_the_lock(empty_memo, monkeypatch):
         return increments(lo, hi)
 
     monkeypatch.setattr(spiral, "_increments", spy)
-    spiral.total_angle(1 + 3 * spiral._STREAM_CHUNK + 5)
-    # three full chunks of _STREAM_CHUNK // _TABLE_BLOCK blocks each, then one 5-term block
-    blocks = 3 * (spiral._STREAM_CHUNK // spiral._TABLE_BLOCK) + 1
-    assert len(held) == blocks == 97 and not any(held)
+    spiral.total_angle(1 + 40 * spiral._BLOCK + 5)
+    # forty full blocks, then one 5-term block
+    assert len(held) == 41 and not any(held)
