@@ -5,58 +5,55 @@ arms as integer quadratics, and verifies the measurable claims about them:
 geometric constants, second-difference arm systems, residue and digit-sum
 periodicities, prime-factor periods, density spot checks, and the
 number-spiral / Ulam-spiral correspondences.
+
+The public names below are imported from their module on first access
+(PEP 562), so ``import rootspiral`` loads no submodule and a CLI process
+compiles only the modules its command uses.
 """
 
-from .factorlab import (
-    admissible_primes,
-    density_scan,
-    detect_arm_chain,
-    factorize,
-    is_prime,
-    root_classes,
-    same_splitting,
-)
-from .fixtures import load_fixtures
-from .numberspiral import (
-    composite_factor,
-    composite_params,
-    ns_polar,
-    offset_curve_points,
-    pronic_triangle_angle,
-    sqrt_spiral_counterparts,
-    ulam_coord,
-)
-from .quad import (
-    ArmSystem,
-    QuadPoly,
-    coefficient_rules_check,
-    decimate,
-    differences,
-    extend,
-    newton_fit,
-    shift,
-)
-from .residues import (
-    SixClass,
-    digit_sum,
-    divisibility_positions,
-    ending_alphabet,
-    residue_cycle,
-    sd_profile,
-    six_classify,
-)
-from .spiral import (
-    C2,
-    SpiralPoint,
-    angle_between,
-    angle_increment,
-    delta_r,
-    estimate_c2,
-    polar_of,
-    square_arm_angle,
-    total_angle,
-    total_angle_fast,
-    winding_gap,
-)
+import importlib
+
+# module -> the public names it exports at package level
+_EXPORTS = {
+    "factorlab": (
+        "admissible_primes", "density_scan", "detect_arm_chain", "factorize", "is_prime",
+        "root_classes", "same_splitting",
+    ),
+    "fixtures": ("load_fixtures",),
+    "numberspiral": (
+        "composite_factor", "composite_params", "ns_polar", "offset_curve_points",
+        "pronic_triangle_angle", "sqrt_spiral_counterparts", "ulam_coord",
+    ),
+    "quad": (
+        "ArmSystem", "QuadPoly", "coefficient_rules_check", "decimate", "differences", "extend",
+        "newton_fit", "shift",
+    ),
+    "residues": (
+        "SixClass", "digit_sum", "divisibility_positions", "ending_alphabet", "residue_cycle",
+        "sd_profile", "six_classify",
+    ),
+    "spiral": (
+        "C2", "SpiralPoint", "angle_between", "angle_increment", "delta_r", "estimate_c2",
+        "polar_of", "square_arm_angle", "total_angle", "total_angle_fast", "winding_gap",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = [*_OWNER, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # rootspiral.spiral etc. without importing the submodule first
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        module = _OWNER[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,21 +4,26 @@ Subcommands: constants, verify-tables, factors, density, residues, detect,
 plot.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
 configuration error.  All output is deterministic; --json switches every
 subcommand to the machine rendering.
+
+Each command imports the modules it uses when it runs, so a process loads
+only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import bisect
-import hashlib
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import factorlab, residues, spiral, svgplot
 from .fixtures import FixtureError, FixtureSet, load_fixtures
 from .quad import QuadPoly, coefficient_rules_check, newton_fit, shift
 from .report import Report
+
+if TYPE_CHECKING:
+    from .factorlab import DensityReport
 
 PAPER_C2 = -2.157782996659
 APPENDIX_SQRT17_DEG = 8.84957988
@@ -84,6 +89,8 @@ def _resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
 
 
 def cmd_constants(args: argparse.Namespace, fx: FixtureSet) -> Report:
+    from . import spiral
+
     report = Report(command="constants", inputs={"k": args.k})
     k = args.k
     c2 = spiral.estimate_c2(k, accelerate=True)
@@ -130,6 +137,8 @@ def cmd_constants(args: argparse.Namespace, fx: FixtureSet) -> Report:
 
 def _verify_system(report: Report, system) -> int:
     """Check every arm of the system and its coefficient rules; returns the arms passed."""
+    from . import residues
+
     passed = 0
     for arm in system.arms:
         woes = []
@@ -184,6 +193,8 @@ def _check_euler_split(report: Report, fx: FixtureSet) -> None:
 
 
 def cmd_factors(args: argparse.Namespace, fx: FixtureSet) -> Report:
+    from . import factorlab
+
     name, poly = _resolve_poly(fx, args.arm)
     report = Report(
         command="factors",
@@ -233,7 +244,9 @@ def _first_reaching(poly: QuadPoly, target: int, limit: int) -> int | None:
     return None
 
 
-def _density_csv(dens: factorlab.DensityReport, poly: QuadPoly) -> str:
+def _density_csv(dens: DensityReport, poly: QuadPoly) -> str:
+    from . import residues
+
     rows = [DENSITY_CSV_HEADER]
     for rec in dens.records:
         factors = "" if rec.factorization is None else str(rec.factorization)
@@ -244,6 +257,8 @@ def _density_csv(dens: factorlab.DensityReport, poly: QuadPoly) -> str:
 
 
 def cmd_density(args: argparse.Namespace, fx: FixtureSet) -> Report:
+    from . import factorlab
+
     name, poly = _resolve_poly(fx, args.arm)
     report = Report(
         command="density", inputs={"arm": name, "at": args.at, "len": args.len}
@@ -274,6 +289,8 @@ def cmd_density(args: argparse.Namespace, fx: FixtureSet) -> Report:
 
 
 def cmd_residues(args: argparse.Namespace, fx: FixtureSet) -> Report:
+    from . import residues
+
     name, poly = _resolve_poly(fx, args.arm)
     report = Report(command="residues", inputs={"arm": name, "terms": args.terms})
     cyc = residues.residue_cycle(poly, 10)
@@ -304,6 +321,8 @@ def cmd_residues(args: argparse.Namespace, fx: FixtureSet) -> Report:
 
 
 def cmd_detect(args: argparse.Namespace, fx: FixtureSet) -> Report:
+    from . import factorlab
+
     report = Report(
         command="detect", inputs={"seed": args.seed_n, "d2": args.d2, "length": args.length}
     )
@@ -324,6 +343,10 @@ def cmd_detect(args: argparse.Namespace, fx: FixtureSet) -> Report:
 
 
 def cmd_plot(args: argparse.Namespace, fx: FixtureSet) -> Report:
+    import hashlib
+
+    from . import svgplot
+
     report = Report(command="plot", inputs={"what": args.what, "n": args.n})
     if args.what == "sqrt-spiral":
         svg = svgplot.plot_sqrt_spiral(args.n)
@@ -442,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         fx = load_fixtures(args.fixture_file)
-    except (FixtureError, OSError) as exc:
+    except (FixtureError, OSError, UnicodeDecodeError) as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -452,7 +475,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     rendered = report.to_json() if args.json else report.to_text()
     if args.out and args.cmd != "plot":
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return report.exit_code

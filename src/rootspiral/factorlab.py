@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import quad, spiral
+from . import quad
 from .quad import VALUE_LIMIT, QuadPoly
 
 # Deterministic Miller-Rabin witness set: the first twelve primes decide
@@ -385,6 +385,8 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     per-step bend d2/sqrt(n) shrinks with n: from seed ~9.4e5 on, a d2 = 200
     chain passes the ten-step score and drifts away only later.)
     """
+    from . import spiral  # imported by its only user, so factor and density runs skip it
+
     if seed < 1:
         raise ValueError(f"seed must be >= 1, got {seed}")
     if length < 2:

@@ -336,6 +336,31 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert "error: " in err.splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (("verify-tables", "--which", "6A"), "missing/r.txt"),  # no such directory
+            (("density", "B3"), "."),  # a directory, not a file
+        ],
+        ids=["verify-tables into a missing directory", "density onto a directory"],
+    )
+    def test_unwritable_report_out_exits_2(self, capsys, tmp_path, argv, target):
+        out = tmp_path / target
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"error: cannot write {out}: ")
+
+    def test_non_utf8_fixture_file_exits_2(self, capsys, tmp_path):
+        binary = tmp_path / "binary.tsv"
+        binary.write_bytes(b"\xff\xfe")
+        code = main(["--fixture-file", str(binary), "residues", "B3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("fixture error: ")
+
 
 def test_reports_byte_identical_across_runs(capsys):
     _, first = run(capsys, "--json", "density", "B3", "--at", "2.5e9")

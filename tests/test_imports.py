@@ -1,4 +1,8 @@
-"""Process floor: commands that never sum a spiral angle run without numpy."""
+"""Process floor: each command loads only the modules it uses.
+
+Commands that never sum a spiral angle run without numpy, and the package
+namespace imports a submodule only when one of its names is first used.
+"""
 
 import os
 import subprocess
@@ -12,13 +16,41 @@ import rootspiral
 SRC = str(Path(rootspiral.__file__).resolve().parents[1])
 
 # Runs rootspiral.cli.main on the arguments in a fresh interpreter, then
-# reports on stderr whether numpy was imported and exits with main's code.
+# lists on the last line of stderr the rootspiral submodules and numpy, where
+# imported, and exits with main's code.
 RUN_CLI = """
 import sys
 from rootspiral.cli import main
 code = main(sys.argv[1:])
-print("numpy loaded" if "numpy" in sys.modules else "numpy absent", file=sys.stderr)
+print(*sorted(m for m in sys.modules if m == "numpy" or m.startswith("rootspiral.")),
+      file=sys.stderr)
 sys.exit(code)
+"""
+
+# The names rootspiral exports, each checked against the module that defines it.
+PUBLIC = """
+    admissible_primes density_scan detect_arm_chain factorize is_prime root_classes
+    same_splitting load_fixtures composite_factor composite_params ns_polar
+    offset_curve_points pronic_triangle_angle sqrt_spiral_counterparts ulam_coord ArmSystem
+    QuadPoly coefficient_rules_check decimate differences extend newton_fit shift SixClass
+    digit_sum divisibility_positions ending_alphabet residue_cycle sd_profile six_classify C2
+    SpiralPoint angle_between angle_increment delta_r estimate_c2 polar_of square_arm_angle
+    total_angle total_angle_fast winding_gap
+""".split()
+
+# In a fresh interpreter, so that each name goes through the lazy first access:
+# prints every exported name that is not the object its module defines, and
+# every such module that rootspiral.<module> does not reach.
+RESOLVE = """
+import importlib
+import rootspiral
+for module, names in rootspiral._EXPORTS.items():
+    if getattr(rootspiral, module) is not importlib.import_module(f"rootspiral.{module}"):
+        print(module)
+    for name in names:
+        if getattr(rootspiral, name) is not getattr(
+                importlib.import_module(f"rootspiral.{module}"), name):
+            print(name)
 """
 
 
@@ -33,6 +65,18 @@ def test_import_and_fixture_load_leave_numpy_out(tmp_path):
     proc = run_python(script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
+    script = (
+        "import sys, rootspiral.cli; rootspiral.cli.load_fixtures();"
+        " print(*sorted(m for m in sys.modules if m.startswith('rootspiral.')))"
+    )
+    proc = run_python(script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "rootspiral.cli", "rootspiral.fixtures", "rootspiral.quad", "rootspiral.report"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -52,7 +96,25 @@ def test_import_and_fixture_load_leave_numpy_out(tmp_path):
 def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
     proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy absent"
+    assert "numpy" not in proc.stderr.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (("factors", "Q3", "--compare", "S1", "--window", "1..6"),
+         ("residues", "spiral", "svgplot", "numberspiral")),
+        (("density", "B3", "--at", "2.5e9"), ("spiral", "svgplot", "numberspiral")),
+        (("residues", "Q3"), ("factorlab", "spiral", "svgplot", "numberspiral")),
+        (("constants", "--k", "5000"), ("factorlab", "residues", "svgplot", "numberspiral")),
+    ],
+    ids=" ".join,
+)
+def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
+    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert not loaded & {f"rootspiral.{module}" for module in unused}
 
 
 @pytest.mark.parametrize(
@@ -63,3 +125,22 @@ def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
     proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_to_their_modules(tmp_path):
+    assert sorted(rootspiral.__all__) == sorted([*PUBLIC, "__version__"])
+    proc = run_python(RESOLVE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+
+
+def test_namespace_lists_and_binds_every_public_name():
+    assert set(rootspiral.__all__) <= set(dir(rootspiral))
+    namespace = {}
+    exec("from rootspiral import *", namespace)
+    assert set(rootspiral.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rootspiral.no_such_name
