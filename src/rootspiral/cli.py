@@ -302,11 +302,11 @@ def cmd_residues(args: argparse.Namespace, fx: FixtureSet) -> Report:
     else:
         prof = residues.sd_profile(poly, args.terms)
         report.data["sd_ordered"] = list(prof.ordered_distinct)
-        pat = prof.diff_pattern
+        gaps = prof.gaps
         report.data["sd_pattern"] = (
-            f"constant {pat.step}" if pat.kind == "constant"
-            else f"cycle {pat.cycle}" if pat.kind == "cycle"
-            else "unrecognized"
+            "n/a" if poly.a <= 0  # only finitely many terms are positive
+            else f"constant {gaps[0]}" if len(set(gaps)) == 1
+            else f"cycle {gaps}"
         )
     for k in (2, 3, 5):
         pos = residues.divisibility_positions(poly, k)

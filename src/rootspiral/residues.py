@@ -28,13 +28,6 @@ class ResidueCycle:
     period: int
     cycle: tuple[int, ...]
 
-    def canonical(self) -> tuple[tuple[int, ...], int]:
-        """Lexicographically smallest rotation and the phase of term 1."""
-        rotations = [tuple(self.cycle[i:] + self.cycle[:i]) for i in range(self.period)]
-        best = min(rotations)
-        phase = rotations.index(best)
-        return best, phase
-
     def same_up_to_phase(self, other: tuple[int, ...]) -> bool:
         if len(other) != self.period:
             return False
@@ -74,64 +67,55 @@ def digit_sum(n: int) -> int:
     return sum(int(d) for d in str(n))
 
 
-_CYCLE_PATTERNS = ((3, 3, 2, 1), (1, 2, 3, 3))
-
-
-@dataclass(frozen=True)
-class DiffPattern:
-    """Detected structure of consecutive gaps in the ordered digit sums."""
-
-    kind: str  # "constant" | "cycle" | "unrecognized"
-    step: int | None = None
-    cycle: tuple[int, ...] | None = None
-
-
-def _detect_pattern(diffs: tuple[int, ...]) -> DiffPattern:
-    if len(diffs) >= 2 and len(set(diffs)) == 1:
-        return DiffPattern("constant", step=diffs[0])
-    # A 25-term window can expose as few as 7 distinct digit sums (6 gaps),
-    # one and a half cycles; require at least that much before declaring a
-    # 4-cycle, and demand every observed gap fit one rotation.
-    if len(diffs) >= 6:
-        for canon in _CYCLE_PATTERNS:
-            for r in range(4):
-                rot = canon[r:] + canon[:r]
-                if all(d == rot[i % 4] for i, d in enumerate(diffs)):
-                    return DiffPattern("cycle", cycle=canon)
-    return DiffPattern("unrecognized")
-
-
 @dataclass(frozen=True)
 class DigitSumProfile:
-    """Digit sums of the first terms, their ordered distinct values, pattern."""
+    """Digit sums of the first terms, their ordered distinct values, and the
+    gap cycle of the arm's ordered distinct digit sums."""
 
     sd_values: tuple[int, ...]
     ordered_distinct: tuple[int, ...]
-    diff_pattern: DiffPattern
+    gaps: tuple[int, ...]
+
+
+def _digit_sum_gaps(p: QuadPoly) -> tuple[int, ...]:
+    """Cyclic gaps between the classes of f's image mod 9, smallest rotation.
+
+    The classes are read as digit sums (0 as 9, 18, ...); the gaps sum to 9.
+    Completing the square gives the image u*{0, 1, 4, 7} + c' when 3 does
+    not divide a, so the gaps are (1,3,3,2) for a = 1 and (1,2,3,3) for
+    a = 2 (mod 3).  When 3 divides a exactly, the gap is 1 if 3 does not
+    divide b and the cycle (3,6) if it does.  When 9 divides a, f = bx + c
+    (mod 9), so the gap is gcd(b, 9).
+    """
+    image = sorted(set(residue_cycle(p, 9).cycle))
+    gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + 9 - image[-1]]
+    return min(tuple(gaps[i:] + gaps[:i]) for i in range(len(gaps)))
 
 
 def sd_profile(p: QuadPoly, n_terms: int = 25) -> DigitSumProfile:
-    """Digit-sum profile of f(1 .. n_terms).
+    """Digit-sum profile of f(1 .. n_terms) and the gap cycle of the arm.
 
-    The ordered distinct digit sums advance either by a constant step (3 or
-    9) or by a repeating 4-cycle, (3,3,2,1) for d2 = 20 families and
-    (1,2,3,3) for d2 = 22 families; anything else is reported as
-    unrecognized (a valid outcome, e.g. when the window skips a digit sum).
+    A digit sum is = f(x) (mod 9), so every digit sum of the arm lies in a
+    class of f's image mod 9, and its ordered distinct digit sums step by the
+    gaps between those classes: a constant 1, 3 or 9, or the cycles (3,6),
+    (1,3,3,2) (a = 1 mod 3, the d2 = 20 arms) and (1,2,3,3) (a = 2 mod 3,
+    the d2 = 22 arms).  A window shows the cycle only where it reaches every
+    digit sum in its range.  The gaps describe the arm only when a > 0:
+    otherwise only finitely many terms are positive.
     """
     if n_terms < 5:
         raise ValueError(f"need at least 5 terms, got {n_terms}")
     sds = tuple(digit_sum(p(t)) for t in range(1, n_terms + 1))
-    ordered = tuple(sorted(set(sds)))
-    diffs = tuple(b - a for a, b in zip(ordered, ordered[1:]))
-    return DigitSumProfile(sd_values=sds, ordered_distinct=ordered, diff_pattern=_detect_pattern(diffs))
+    return DigitSumProfile(sd_values=sds, ordered_distinct=tuple(sorted(set(sds))),
+                           gaps=_digit_sum_gaps(p))
 
 
 def divisibility_positions(p: QuadPoly, k: int) -> frozenset[int]:
-    """Positions within one residue period where k divides the value."""
+    """Arm indices x in 1 .. period where k divides f(x)."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     cyc = residue_cycle(p, k)
-    return frozenset(i for i, r in enumerate(cyc.cycle) if r == 0)
+    return frozenset(x for x, r in enumerate(cyc.cycle, start=1) if r == 0)
 
 
 class SixClass(Enum):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 
-from . import factorlab, numberspiral, spiral
+from . import factorlab
 from .quad import ArmSystem, QuadPoly
 
 SIZE = 800.0  # canvas width and height in SVG user units
@@ -65,15 +66,19 @@ class _Canvas:
         return head + "\n".join(self.elements) + "\n</svg>\n"
 
 
-def _sqrt_xy(n: int) -> tuple[float, float]:
-    pt = spiral.polar_of(n)
-    return pt.radius * math.cos(pt.angle_total), pt.radius * math.sin(pt.angle_total)
+def _sqrt_xy(ns: Iterable[int]) -> Iterator[tuple[float, float]]:
+    """Plane positions of the integers ns on the square-root spiral."""
+    from .spiral import polar_of
+
+    for n in ns:
+        pt = polar_of(n)
+        yield pt.radius * math.cos(pt.angle_total), pt.radius * math.sin(pt.angle_total)
 
 
 def _arm_polyline(cv: _Canvas, poly: QuadPoly, n_max: int, stroke: str, width: float) -> None:
     """The arm's values f(1), f(2), ... up to n_max, joined on the spiral."""
     values = itertools.takewhile(lambda v: v <= n_max, map(poly, itertools.count(1)))
-    pts = [_sqrt_xy(v) for v in values]
+    pts = list(_sqrt_xy(values))
     if len(pts) >= 2:
         cv.polyline(pts, stroke, width)
 
@@ -81,7 +86,7 @@ def _arm_polyline(cv: _Canvas, poly: QuadPoly, n_max: int, stroke: str, width: f
 def plot_sqrt_spiral(n: int) -> str:
     """The triangle chain itself: rays, outer edge, primes and squares marked."""
     cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
-    pts = [_sqrt_xy(k) for k in range(1, n + 1)]
+    pts = list(_sqrt_xy(range(1, n + 1)))
     for x, y in pts:
         cv.line(0.0, 0.0, x, y, "#cccccc", 0.5)
     cv.polyline(pts, "#555555", 1.0)
@@ -96,9 +101,11 @@ def plot_sqrt_spiral(n: int) -> str:
 
 def plot_number_spiral(n: int) -> str:
     """Number-spiral layout: squares on one ray, primes darkened."""
+    from .numberspiral import ns_polar
+
     cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
     for k in range(n + 1):
-        pt = numberspiral.ns_polar(k)
+        pt = ns_polar(k)
         ang = 2.0 * math.pi * pt.theta_rotations
         x, y = pt.r * math.cos(ang), pt.r * math.sin(ang)
         if k >= 2 and factorlab.is_prime(k):
@@ -110,10 +117,12 @@ def plot_number_spiral(n: int) -> str:
 
 def plot_ulam(n: int) -> str:
     """Ulam dot plot; primes dark, corner squares tinted."""
+    from .numberspiral import ulam_coord
+
     cv = _Canvas(math.isqrt(n) / 2.0 + 1.5)
     dot = max(1.0, 0.42 * cv.scale)
     for k in range(1, n + 1):
-        c = numberspiral.ulam_coord(k)
+        c = ulam_coord(k)
         if factorlab.is_prime(k):
             cv.circle(float(c.x), float(c.y), dot, "#222222")
         else:
@@ -126,8 +135,7 @@ def plot_ulam(n: int) -> str:
 def plot_arms(system: ArmSystem, n_max: int) -> str:
     """Spiral dots with one system's arms overlaid as polylines."""
     cv = _Canvas(math.sqrt(n_max) * 1.05 + 1.0)
-    for k in range(1, n_max + 1):
-        x, y = _sqrt_xy(k)
+    for k, (x, y) in enumerate(_sqrt_xy(range(1, n_max + 1)), start=1):
         if factorlab.is_prime(k):
             cv.circle(x, y, 2.2, "#d4a800")
         else:
@@ -141,11 +149,8 @@ def plot_fig7(n_max: int, k5_poly) -> str:
     """The K5 arm over the divisibility spirals of 7, 11 and 17."""
     cv = _Canvas(math.sqrt(n_max) * 1.05 + 1.0)
     colors = {7: "#f2b5a0", 11: "#b5c8f2", 17: "#b5f2c8"}
-    for k in range(1, n_max + 1):
-        for q, color in colors.items():
-            if k % q == 0:
-                x, y = _sqrt_xy(k)
-                cv.circle(x, y, 2.0, color)
-                break
+    marked = [k for k in range(1, n_max + 1) if any(k % q == 0 for q in colors)]
+    for k, (x, y) in zip(marked, _sqrt_xy(marked)):
+        cv.circle(x, y, 2.0, next(color for q, color in colors.items() if k % q == 0))
     _arm_polyline(cv, k5_poly, n_max, "#d4442c", 1.6)
     return cv.render()

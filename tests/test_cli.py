@@ -30,7 +30,7 @@ class TestConstants:
     def test_json_schema(self, capsys):
         code, out = run(capsys, "--json", "constants", "--k", "1000")
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["command"] == "constants"
         assert {c["name"] for c in payload["checks"]} >= {"square-arm-angle"}
 
@@ -182,6 +182,29 @@ class TestResidues:
         assert code == 0
         assert "ending_alphabet: [1, 3, 7]" in out
         assert "cycle (1, 2, 3, 3)" in out
+
+    @pytest.mark.parametrize(
+        "arm, pattern", [("A3", "constant 3"), ("B3", "constant 9"), ("N20-D/D1", "cycle (1, 3, 3, 2)")]
+    )
+    def test_digit_sum_pattern(self, capsys, arm, pattern):
+        assert main(["--json", "residues", arm]) == 0
+        assert json.loads(capsys.readouterr().out)["data"]["sd_pattern"] == pattern
+
+    def test_squares_digit_sum_cycle(self, capsys):
+        code, out = run(capsys, "residues", "1,0,0")
+        assert code == 1  # the squares' endings have period 10, not 1 or 5
+        assert "cycle (1, 3, 3, 2)" in out
+
+    @pytest.mark.parametrize("arm", ["0,1,5", "-1,0,1000"])
+    def test_nonpositive_lead_leaves_pattern_na(self, capsys, arm):
+        assert main(["--json", "residues", "--", arm]) == 1  # mod-10 period 10
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["sd_ordered"] and data["sd_pattern"] == "n/a"
+
+    def test_divisibility_uses_arm_indices(self, capsys):
+        assert main(["--json", "residues", "K2"]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["divisible_by_3"] == [1]  # f(1) = 9
 
     def test_d8_family_literal(self, capsys):
         code, out = run(capsys, "residues", "10,50,67")

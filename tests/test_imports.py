@@ -107,6 +107,9 @@ def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
         (("density", "B3", "--at", "2.5e9"), ("spiral", "svgplot", "numberspiral")),
         (("residues", "Q3"), ("factorlab", "spiral", "svgplot", "numberspiral")),
         (("constants", "--k", "5000"), ("factorlab", "residues", "svgplot", "numberspiral")),
+        (("verify-tables", "--which", "all"), ("factorlab", "spiral", "svgplot")),
+        (("plot", "ulam", "--n", "2000", "--out", "ulam.svg"), ("spiral",)),
+        (("plot", "number-spiral", "--n", "500", "--out", "number-spiral.svg"), ("spiral",)),
     ],
     ids=" ".join,
 )

@@ -3,11 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootspiral.fixtures import load_fixtures
 from rootspiral.quad import QuadPoly
 from rootspiral.residues import (
     SixClass,
+    _digit_sum_gaps,
     digit_sum,
     divisibility_positions,
     ending_alphabet,
@@ -45,14 +48,6 @@ class TestResidueCycle:
         for i in range(60):
             assert B3(1 + i) % 12 == cyc.cycle[i % cyc.period]
 
-    def test_canonical_rotation(self):
-        best, phase = residue_cycle(Q3, 10).canonical()
-        assert best == min(
-            tuple(residue_cycle(Q3, 10).cycle[i:] + residue_cycle(Q3, 10).cycle[:i])
-            for i in range(5)
-        )
-        assert 0 <= phase < 5
-
     def test_period_divides_k_random(self):
         rng = random.Random(42)
         for _ in range(2000):
@@ -89,36 +84,90 @@ class TestDigitSum:
             assert digit_sum(n) % 9 == n % 9
 
 
+def _rotations(cycle):
+    return {tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))}
+
+
+def _gap_table(a, b):
+    """The digit-sum gap cycle by completing the square (see README)."""
+    if a % 3:
+        return (1, 3, 3, 2) if a % 3 == 1 else (1, 2, 3, 3)
+    if b % 3:
+        return (1,) * 9
+    if a % 9:
+        return (3, 6)
+    return (3, 3, 3) if b % 9 else (9,)
+
+
 class TestSdProfile:
     def test_a_family_step_three(self):
         prof = sd_profile(QuadPoly(9, 3, -5))  # arm A2
-        assert prof.diff_pattern.kind == "constant" and prof.diff_pattern.step == 3
+        assert prof.gaps == (3, 3, 3)
         assert prof.ordered_distinct[:4] == (7, 10, 13, 16)
 
     def test_b_family_step_nine(self):
         prof = sd_profile(QuadPoly(9, 9, -7))  # arm B1
-        assert prof.diff_pattern.step == 9
+        assert prof.gaps == (9,)
         assert prof.ordered_distinct == (2, 11, 20)
 
     def test_b3_step_nine(self):
-        assert sd_profile(B3).diff_pattern.step == 9
+        assert sd_profile(B3).gaps == (9,)
 
     def test_d2_20_cycle(self):
+        # the paper prints the same cycle as (3,3,2,1)
         prof = sd_profile(N20_D1)
-        assert prof.diff_pattern.kind == "cycle"
-        assert prof.diff_pattern.cycle == (3, 3, 2, 1)
+        assert prof.gaps == (1, 3, 3, 2)
         assert prof.ordered_distinct == (7, 9, 10, 13, 16, 18, 19)
 
     def test_d2_22_cycle(self):
-        prof = sd_profile(K3)
-        assert prof.diff_pattern.kind == "cycle"
-        assert prof.diff_pattern.cycle == (1, 2, 3, 3)
+        assert sd_profile(K3).gaps == (1, 2, 3, 3)
 
-    def test_window_skip_is_unrecognized(self):
+    def test_window_skip_is_classified(self):
         # N20-F3 and N22-L1 skip one digit sum inside the 25-term window,
-        # which merges two gaps; the detector reports that honestly.
-        for p in (QuadPoly(10, -4, -5), QuadPoly(11, -21, 23)):
-            assert sd_profile(p).diff_pattern.kind == "unrecognized"
+        # which merges two gaps; the image mod 9 classifies them anyway.
+        f3, l1 = QuadPoly(10, -4, -5), QuadPoly(11, -21, 23)
+        for p, cycle in ((f3, (1, 3, 3, 2)), (l1, (1, 2, 3, 3))):
+            prof = sd_profile(p)
+            steps = [b - a for a, b in zip(prof.ordered_distinct, prof.ordered_distinct[1:])]
+            assert all(steps != (list(rot) * 9)[: len(steps)] for rot in _rotations(cycle))
+            assert prof.gaps == cycle
+
+    @given(st.integers(), st.integers(), st.integers())
+    def test_gaps_follow_completing_the_square(self, a, b, c):
+        gaps = _digit_sum_gaps(QuadPoly(a, b, c))
+        assert sum(gaps) == 9
+        assert gaps == min(_rotations(gaps))
+        assert gaps == _gap_table(a, b)
+
+    def test_every_digit_sum_of_the_image_occurs(self):
+        # Independent of the mod-9 argument: the digit sums of the first 2000
+        # terms in [10, 45] are exactly those whose class f hits mod 9, and
+        # in order they step by the reported gaps.
+        fx = load_fixtures()
+        for system in fx.systems + fx.extras:
+            for arm in system.arms:
+                image = set(residue_cycle(arm.poly, 9).cycle)
+                seen = {digit_sum(arm.poly(x)) for x in range(1, 2001)}
+                window = sorted(s for s in seen if 10 <= s <= 45)
+                assert window == [s for s in range(10, 46) if s % 9 in image], arm.name
+                steps = [b - a for a, b in zip(window, window[1:])]
+                gaps = sd_profile(arm.poly).gaps
+                n = len(gaps)
+                assert tuple(steps[:n]) in _rotations(gaps), arm.name
+                assert steps == (steps[:n] * 36)[: len(steps)], arm.name
+
+    def test_split_by_second_difference(self):
+        fx = load_fixtures()
+        by_d2 = {}
+        for system in fx.systems + fx.extras:
+            for arm in system.arms:
+                gaps = sd_profile(arm.poly).gaps
+                by_d2.setdefault(system.d2, []).append(gaps)
+        assert sorted(by_d2) == [2, 18, 20, 22]
+        assert sorted(by_d2[18]) == [(3, 3, 3)] * 26 + [(9,)] * 14
+        assert by_d2[2] == [(1, 3, 3, 2)]  # the Euler arm
+        assert set(by_d2[20]) == {(1, 3, 3, 2)} and len(by_d2[20]) == 36
+        assert set(by_d2[22]) == {(1, 2, 3, 3)} and len(by_d2[22]) == 34
 
     def test_sd_values_are_digit_sums(self):
         prof = sd_profile(A3, 10)
@@ -143,9 +192,18 @@ class TestDivisibilityPositions:
         assert residue_cycle(A3, 5).period == 5
 
     def test_k2_every_third_divisible_by_three(self):
-        k2 = QuadPoly(11, -19, 17)
-        assert len(divisibility_positions(k2, 3)) == 1
+        k2 = QuadPoly(11, -19, 17)  # f(1) = 9
+        assert divisibility_positions(k2, 3) == {1}
         assert residue_cycle(k2, 3).period == 3
+
+    def test_arm_indices_match_brute_force(self):
+        fx = load_fixtures()
+        for system in fx.systems + fx.extras:
+            for arm in system.arms:
+                for k in (2, 3, 5):
+                    period = residue_cycle(arm.poly, k).period
+                    want = {x for x in range(1, period + 1) if arm.poly(x) % k == 0}
+                    assert divisibility_positions(arm.poly, k) == want, (arm.name, k)
 
     def test_b3_never_divisible_by_three(self):
         assert divisibility_positions(B3, 3) == frozenset()
