@@ -34,7 +34,7 @@ _EXPORTS = {
     ),
     "spiral": (
         "C2", "SpiralPoint", "angle_between", "angle_increment", "delta_r", "estimate_c2",
-        "polar_of", "square_arm_angle", "total_angle", "total_angle_fast", "winding_gap",
+        "polar_of", "square_arm_angle", "total_angle", "winding_gap",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -76,7 +76,11 @@ def _window(text: str) -> str:
 
 
 def _resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
-    """An arm name from the fixtures, or literal coefficients 'a,b,c'."""
+    """An arm name from the fixtures, or literal coefficients 'a,b,c'.
+
+    A fixture arm is named 'SYSTEM/ARM'; a literal keeps its text, which
+    never holds a '/'.
+    """
     try:
         system, arm = fx.find_arm(text)
         return f"{system.name}/{arm.name}", arm.poly
@@ -316,7 +320,9 @@ def cmd_residues(args: argparse.Namespace, fx: FixtureSet) -> Report:
         for v in (poly(t) for t in range(1, 7))
     ]
     report.data["six_classes"] = six
-    report.add("ending-period", cyc.period in (1, 5), f"mod-10 period {cyc.period}")
+    # a mod-10 period of 1 or 5 is the paper's claim for its arms; a literal's is only reported
+    claim = cyc.period in (1, 5) if "/" in name else None
+    report.add("ending-period", claim, f"mod-10 period {cyc.period}")
     return report
 
 
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("constants", help="verify the geometric constants")
-    # total_angle's 1e-10 accuracy is stated out to 1e8
+    # estimate_c2 streams k angle terms: 10^8 takes ~0.8 s (2-vCPU VM)
     p.add_argument("--k", type=_int_at_least(2, 10**8), default=10**6,
                    help="truncation index for the angle sums")
     _add_common(p)

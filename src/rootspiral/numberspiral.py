@@ -147,12 +147,12 @@ def pronic_triangle_angle(t: int) -> float:
     """
     if t < 2:
         raise ValueError(f"t must be >= 2, got {t}")
-    from .spiral import total_angle_fast
+    from .spiral import total_angle
 
     pts = []
     for k in (t - 1, t, t + 1):
         n = k * (k + 1)
-        phi = total_angle_fast(n)
+        phi = total_angle(n)
         r = math.sqrt(n)
         pts.append((r * math.cos(phi), r * math.sin(phi)))
     (x0, y0), (x1, y1), (x2, y2) = pts

@@ -2,23 +2,27 @@
 
 The spiral is the chain of unit-leg right triangles: ray n has length
 sqrt(n), and attaching triangle n turns the outer ray by arctan(1/sqrt(n)).
-This module computes per-triangle angles, high-accuracy cumulative angles,
-the asymptotic angle constant, polar placement of any natural number, and
-the classical limit quantities (winding gap -> pi, square-to-square angle
--> 360/pi degrees).  Cumulative angles come from a correctly rounded prefix
-table up to 2.2e6 and, beyond it, from memoised sums of fixed blocks of
-increments, so a query at or below an earlier one sums at most one block.
+This module computes per-triangle angles, cumulative angles, the asymptotic
+angle constant, polar placement of any natural number, and the classical
+limit quantities (winding gap -> pi, square-to-square angle -> 360/pi
+degrees).
 
-Every angle sum works in the same blocks of 2^16 increments (_BLOCK).  numpy
-is imported only by the functions that sum angles, so importing this module
-(and any command that never sums an angle) does not load it.  The prefix
-table starts as the single entry total_angle(1) = 0 and grows block by
-block, written in place into one preallocated array, so a build holds the
-old and new tables plus one block of temporaries.  Spans are streamed by
-angles_between alone: it sums each span one block at a time with numpy and
-merges the block sums with math.fsum, so a sum holds at most two blocks of
-increments (1 MiB).  Increments are computed in place, in one buffer per
-block.
+A cumulative angle costs O(1).  Up to n = 4096 (_N0) it is read from a
+prefix table of the math.atan increments, correctly rounded and built at
+import in pure Python.  Above it, it is the Euler-Maclaurin expansion
+
+    sum_{k<n} arctan(1/sqrt(k)) = 2 sqrt(n) + C + sum_{j=1}^{8} a_j n^{-(2j-1)/2}
+
+(Davis, "Spirals: From Theodorus to Chaos", 1993; Gronau, "The Spiral of
+Theodorus", Amer. Math. Monthly 2004), whose truncation error there is
+below 1e-34.
+
+Spans are streamed by angles_between alone: it sums each span in blocks of
+2^16 increments (_BLOCK) with numpy and merges the block sums with
+math.fsum, so a sum holds at most two blocks of increments (1 MiB).
+Increments are computed in place, in one buffer per block.  numpy is
+imported only by the functions that stream sums, so importing this module
+(and any command that only places points) does not load it.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -27,7 +31,6 @@ accumulate counter-clockwise, so ``total_angle(1) == 0``.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -36,21 +39,21 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 
-# Limit of total_angle(k) - 2*sqrt(k).  Documented digits: -2.157782996659
-# (verified to 1e-9 by the accelerated estimator in the test suite).
+# Limit of total_angle(k) - 2*sqrt(k), rounded to float64.  C2 + _C2_LO is
+# C = -2.15778299665944622092914278683 (mpmath: a direct sum to 2e4 plus the
+# series) to ~32 digits.  Documented digits: -2.157782996659.
 C2 = -2.157782996659446
+_C2_LO = -4.7902434293704376e-17
 
-# Asymptotic tail of the angle sum:  sum_{m>=n} [arctan(1/sqrt(m))
-# - 2(sqrt(m+1)-sqrt(m))]  ~  -1/(6 sqrt(n)) + 1/(120 n^{3/2})
-# + 1/(840 n^{5/2}), obtained by expanding arctan(1/sqrt(m)) in powers of
-# m^{-1/2} and applying Euler-Maclaurin to each power sum.
-_TAIL_COEFFS = ((-1.0 / 6.0, -0.5), (1.0 / 120.0, -1.5), (1.0 / 840.0, -2.5))
+# a_8, ..., a_1 of the expansion, for Horner's rule in 1/n: Euler-Maclaurin
+# applied to each power sum of arctan(k^-1/2) = sum_m (-1)^m k^-(m+1/2)/(2m+1).
+_SERIES = (
+    1067 / 5013504, -29 / 199680, -521 / 2196480, 1 / 4224, 5 / 8064, -1 / 840, -1 / 120, 1 / 6
+)
 
-# total_angle builds a memoized prefix table for n up to this bound and
-# memoized sums of _BLOCK-term blocks (_blocks) beyond it.
-_AUTO_TABLE_LIMIT = 2_200_000
-# entries of the prefix table computed per step of its growth, and the terms
-# of a streamed sum taken at once
+# total_angle reads the prefix table up to this n and evaluates the expansion above it
+_N0 = 4096
+# terms of a streamed sum taken at once
 _BLOCK = 1 << 16
 
 
@@ -85,52 +88,21 @@ def _increments(lo: int, hi: int) -> np.ndarray:
     return np.arctan(out, out=out)
 
 
-# _prefix[i] holds sum_{k=1}^{i} arctan(1/sqrt(k)), correctly rounded.  Below
-# _AUTO_TABLE_LIMIT every increment is >= 2^-11, hence an exact multiple of
-# 2^-64: it splits exactly into whole units of 2^-30 and of 2^-64, whose
-# running int64 sums (_units) are exact, and one float addition per entry
-# rounds the exact prefix once.  It starts as the one entry (0.0,), without
-# numpy; each growth preallocates the grown array, copies the old entries and
-# fills the rest in _BLOCK-entry blocks, carrying _units across them, so
-# every entry is the same however the table was grown.  The table is grown
-# under _lock and published by rebinding _prefix, so readers index the array
-# they fetched without it.
-_lock = threading.Lock()
-_prefix: Sequence[float] = (0.0,)
-_units = (0, 0)
-# _blocks[j] holds the float64 sum of the increments for k in
-# [1 + j*_BLOCK, 1 + (j+1)*_BLOCK): the parts that angle_between(1, n) adds
-# up.  It only grows, by appends under _lock.
-_blocks: list[float] = []
+def _prefix_sums() -> tuple[float, ...]:
+    """total_angle(n) for n = 1 .. _N0, each correctly rounded.
+
+    Every increment for k < _N0 is >= 2^-7, hence a whole multiple of 2^-64:
+    the running sum of those multiples is an exact integer, and one true
+    division rounds each prefix once.
+    """
+    units, sums = 0, [0.0]
+    for k in range(1, _N0):
+        units += int(math.ldexp(angle_increment(k), 64))
+        sums.append(units / 2**64)
+    return tuple(sums)
 
 
-def _prefix_table(n: int) -> Sequence[float]:
-    """The prefix table, grown to cover index n (n < _AUTO_TABLE_LIMIT)."""
-    global _prefix, _units
-    table = _prefix
-    if n < len(table):
-        return table
-    with _lock:
-        table = _prefix
-        if n < len(table):
-            return table
-        import numpy as np
-
-        # at least double, so that copying the old entries stays O(1) per entry
-        size = min(max(n + 1, 2 * len(table)), _AUTO_TABLE_LIMIT)
-        grown = np.empty(size)
-        grown[: len(table)] = table
-        coarse_sum, fine_sum = _units
-        for lo in range(len(table), size, _BLOCK):
-            hi = min(lo + _BLOCK, size)
-            fine, coarse = np.modf(np.ldexp(_increments(lo, hi), 30))
-            coarse = np.cumsum(coarse.astype(np.int64)) + coarse_sum
-            fine = np.cumsum(np.ldexp(fine, 34).astype(np.int64)) + fine_sum
-            grown[lo:hi] = np.ldexp(coarse + (fine >> 34), -30)
-            grown[lo:hi] += np.ldexp(fine & ((1 << 34) - 1), -64)
-            coarse_sum, fine_sum = int(coarse[-1]), int(fine[-1])
-        _prefix, _units = grown, (coarse_sum, fine_sum)
-        return grown
+_TABLE = _prefix_sums()
 
 
 def _block_sum(lo: int, hi: int) -> float:
@@ -138,47 +110,51 @@ def _block_sum(lo: int, hi: int) -> float:
     return float(_increments(lo, hi).sum())
 
 
-def _block_sums(count: int) -> list[float]:
-    """The first count block sums of the stream from k = 1, memoised.
-
-    Each sum is computed without the lock, and appended under it only if no
-    other thread appended that block meanwhile, so streaming never blocks.
-    """
-    while len(_blocks) < count:
-        j = len(_blocks)
-        a = 1 + j * _BLOCK
-        part = _block_sum(a, a + _BLOCK)
-        with _lock:
-            if len(_blocks) == j:
-                _blocks.append(part)
-    return _blocks[:count]
+def _series(n: int) -> float:
+    """The expansion's tail sum_j a_j n^{-(2j-1)/2} = total_angle(n) - 2 sqrt(n) - C."""
+    x = 1.0 / n
+    t = 0.0
+    for a in _SERIES:
+        t = t * x + a
+    return t / math.sqrt(n)
 
 
 def total_angle(n: int) -> float:
     """Cumulative angle of ray sqrt(n): sum_{k=1}^{n-1} arctan(1/sqrt(k)).
 
-    Correctly rounded for n <= 2.2e6, read from an exact prefix table grown
-    on demand.  Beyond that it equals angle_between(1, n) bit for bit, with
-    absolute error below 1e-10 rad out to n = 1e8 (measured against mpmath):
-    the sums of the full 2^16-term blocks are memoised, so the first call up
-    to n streams O(n) terms and later calls up to n sum only the final,
-    partial block.
+    Up to n = 4096 it is read from the prefix table: the correctly rounded
+    sum of the math.atan increments.  Above, it is 2 sqrt(n) + C + the
+    eight-term series.  The rounding error of sqrt(n) is recovered with
+    Dekker's exact product, and 2 sqrt(n) + C is carried as a two-sum, so
+    for n <= 2^53 the result is within 0.5 + 1e-4 ulp of the true sum
+    (measured against 45-digit mpmath; the excess is below 0.3/n ulp up to
+    n = 1e12): correctly rounded unless the sum lies that close to a
+    rounding midpoint.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > _AUTO_TABLE_LIMIT:
-        full = (n - 1) // _BLOCK
-        return math.fsum([*_block_sums(full), _block_sum(1 + full * _BLOCK, n)])
-    return float(_prefix_table(n - 1)[n - 1])
+    if n <= _N0:
+        return _TABLE[n - 1]
+    s = math.sqrt(n)
+    # s*s == sq + err exactly: 2^27 + 1 splits s into two 26-bit halves
+    c = 134217729.0 * s
+    s_hi = c - (c - s)
+    s_lo = s - s_hi
+    sq = s * s
+    err = ((s_hi * s_hi - sq) + 2.0 * s_hi * s_lo) + s_lo * s_lo
+    # 2 sqrt(n) = 2s + (n - s*s)/s to relative 2^-106; n - sq is exact
+    hi = 2.0 * s + C2
+    lo = C2 - (hi - 2.0 * s)  # hi + lo == 2s + C2 exactly
+    return hi + (lo + (_C2_LO + (((n - sq) - err) / s + _series(n))))
 
 
 def angle_between(n1: int, n2: int) -> float:
     """Partial angle sum_{k=n1}^{n2-1} arctan(1/sqrt(k)), always streamed.
 
-    The direct-summation oracle used by tests and square_arm_angle: it never
-    goes through the asymptotic form, and unlike a difference of two table
-    lookups it is free of cancellation error.  It is
-    angles_between([(n1, n2)])[0].
+    The direct-summation oracle used by tests, estimate_c2 and
+    square_arm_angle: it never goes through the closed form, and unlike a
+    difference of two total_angle values it is free of cancellation error.
+    It is angles_between([(n1, n2)])[0].
     """
     return angles_between([(n1, n2)])[0]
 
@@ -217,37 +193,21 @@ def angles_between(spans: Sequence[tuple[int, int]]) -> list[float]:
     return [math.fsum(p) for p in parts]
 
 
-def _tail(n: float) -> float:
-    return sum(c * n**e for c, e in _TAIL_COEFFS)
-
-
-def total_angle_fast(n: int) -> float:
-    """Asymptotic total angle 2*sqrt(n) + c2 - tail(n).
-
-    Agrees with total_angle to well below 1e-8 rad for n >= 1e4 (validated
-    in tests); below that threshold it falls back to direct summation.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n < 10_000:
-        return total_angle(n)
-    return 2.0 * math.sqrt(n) + C2 - _tail(float(n))
-
-
 def estimate_c2(k: int, accelerate: bool = True) -> float:
     """Estimate the spiral constant from the angle sum truncated at k.
 
-    Raw mode returns total_angle(k) - 2*sqrt(k), which converges from
-    above like 1/(6 sqrt(k)).  Accelerated mode adds the Euler-Maclaurin
-    estimate of the dropped tail and is accurate to ~1e-10 already for
-    k around 1e3.
+    The sum is streamed by angle_between(1, k), not read from the closed
+    form, so the estimate checks C2 independently.  Raw mode returns it
+    minus 2*sqrt(k), which converges from above like 1/(6 sqrt(k)).
+    Accelerated mode also subtracts the expansion's tail and is accurate to
+    ~1e-10 already for k around 1e3.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    raw = total_angle(k) - 2.0 * math.sqrt(k)
+    raw = angle_between(1, k) - 2.0 * math.sqrt(k)
     if not accelerate:
         return raw
-    return raw + _tail(float(k))
+    return raw - _series(k)
 
 
 def polar_of(n: int) -> SpiralPoint:

@@ -192,12 +192,26 @@ class TestResidues:
 
     def test_squares_digit_sum_cycle(self, capsys):
         code, out = run(capsys, "residues", "1,0,0")
-        assert code == 1  # the squares' endings have period 10, not 1 or 5
+        assert code == 0  # period 10 is reported, not judged: the squares are no arm of the paper
         assert "cycle (1, 3, 3, 2)" in out
+        assert "[info] ending-period  mod-10 period 10" in out
+
+    def test_fixture_arm_keeps_the_ending_period_verdict(self, capsys, tmp_path):
+        assert main(["--json", "residues", "Q3"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["status"] for c in checks if c["name"] == "ending-period"] == ["pass"]
+        squares = tmp_path / "squares.tsv"  # the squares as a fixture arm fail the claim
+        squares.write_text(
+            "arm\tSQ-A\tS1\tP\t2\t1\t0\t0\t2\t1\t4\t4\t6\t9\t1,4,9,16,25,36\n",
+            encoding="utf-8",
+        )
+        assert main(["--fixture-file", str(squares), "--json", "residues", "S1"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["status"] for c in checks if c["name"] == "ending-period"] == ["fail"]
 
     @pytest.mark.parametrize("arm", ["0,1,5", "-1,0,1000"])
     def test_nonpositive_lead_leaves_pattern_na(self, capsys, arm):
-        assert main(["--json", "residues", "--", arm]) == 1  # mod-10 period 10
+        assert main(["--json", "residues", "--", arm]) == 0  # mod-10 period 10, reported
         data = json.loads(capsys.readouterr().out)["data"]
         assert data["sd_ordered"] and data["sd_pattern"] == "n/a"
 
@@ -213,7 +227,7 @@ class TestResidues:
 
     @pytest.mark.parametrize(
         "arm, ending_cycle, code",
-        [("1,-10,0", [1, 4, 9, 6, 5, 6, 9, 4, 1, 0], 1), ("0,0,-3", [7], 0)],
+        [("1,-10,0", [1, 4, 9, 6, 5, 6, 9, 4, 1, 0], 0), ("0,0,-3", [7], 0)],
     )
     def test_negative_terms_leave_digit_sums_na(self, capsys, arm, ending_cycle, code):
         assert main(["--json", "residues", arm]) == code

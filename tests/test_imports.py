@@ -1,7 +1,8 @@
 """Process floor: each command loads only the modules it uses.
 
-Commands that never sum a spiral angle run without numpy, and the package
-namespace imports a submodule only when one of its names is first used.
+Commands that stream no angle sum run without numpy: placing a point on the
+spiral reads its angle from a closed form.  The package namespace imports a
+submodule only when one of its names is first used.
 """
 
 import os
@@ -35,7 +36,7 @@ PUBLIC = """
     QuadPoly coefficient_rules_check decimate differences extend newton_fit shift SixClass
     digit_sum divisibility_positions ending_alphabet residue_cycle sd_profile six_classify C2
     SpiralPoint angle_between angle_increment delta_r estimate_c2 polar_of square_arm_angle
-    total_angle total_angle_fast winding_gap
+    total_angle winding_gap
 """.split()
 
 # In a fresh interpreter, so that each name goes through the lazy first access:
@@ -90,6 +91,9 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
         ("residues", "Q3"),
         ("plot", "ulam", "--n", "2000", "--out", "ulam.svg"),
         ("plot", "number-spiral", "--n", "500", "--out", "number-spiral.svg"),
+        ("plot", "sqrt-spiral", "--n", "5000", "--out", "sqrt-spiral.svg"),
+        ("plot", "arms", "--system", "P18-A", "--n", "5000", "--out", "arms.svg"),
+        ("plot", "fig7", "--n", "5000", "--out", "fig7.svg"),
     ],
     ids=" ".join,
 )

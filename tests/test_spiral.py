@@ -1,14 +1,15 @@
 """Spiral-core: per-triangle angles, cumulative sums, asymptotics, limits."""
 
-import importlib.util
+import functools
 import math
-import sys
+import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,11 +28,6 @@ def fsum_span(lo: int, hi: int) -> float:
     return math.fsum(np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64))).tolist())
 
 
-def fsum_angle(n: int) -> float:
-    """Correctly rounded sum of the float64 increments for k = 1 .. n-1."""
-    return fsum_span(1, n)
-
-
 def mp_winding_gap(n: int) -> float:
     """Winding gap from increments and a piecewise-linear root in 30 digits."""
     with mpmath.workdps(30):
@@ -45,31 +41,66 @@ def mp_winding_gap(n: int) -> float:
             k += 1
 
 
-@pytest.fixture
-def empty_table(monkeypatch):
-    """Reset the prefix table now and on each call to the state of a fresh import of
-    the module; the shared one is restored afterwards."""
-    spec = importlib.util.find_spec(spiral.__name__)
-    fresh = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(fresh)
-
-    def empty():
-        monkeypatch.setattr(spiral, "_prefix", fresh._prefix)
-        monkeypatch.setattr(spiral, "_units", fresh._units)
-
-    empty()
-    return empty
+N0 = 4096  # total_angle reads its table up to here and the closed form above
+DPS = 40  # digits of the mpmath oracles
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    """Empty the block-sum memo now and on each call; the shared one is restored afterwards."""
+@functools.cache
+def em_coefficients(terms: int = 8) -> tuple:
+    """a_1 .. a_terms of sum_{k<n} arctan(k^-1/2) - 2 sqrt(n) - C in powers n^-(2j-1)/2.
 
-    def empty():
-        monkeypatch.setattr(spiral, "_blocks", [])
+    arctan(k^-1/2) = sum_m c_m k^-s with c_m = (-1)^m/(2m+1) and s = m + 1/2,
+    and by Euler-Maclaurin sum_{k<n} k^-s = zeta(s) + n^(1-s)/(1-s) - n^-s/2
+    - sum_i B_2i/(2i)! (s)_(2i-1) n^-(s+2i-1), with (s)_r the rising factorial.
+    """
+    a = {j: sympy.Integer(0) for j in range(1, terms + 1)}
+    for m in range(terms + 1):
+        c, s = sympy.Rational((-1) ** m, 2 * m + 1), sympy.Rational(2 * m + 1, 2)
+        # (j, coefficient of n^-(2j-1)/2)
+        parts = [(m, c / (1 - s)), (m + 1, -c / 2)]
+        parts += [
+            (m + 2 * i, -c * sympy.bernoulli(2 * i) / sympy.factorial(2 * i) * sympy.rf(s, 2 * i - 1))
+            for i in range(1, terms // 2 + 1)
+        ]
+        for j, coefficient in parts:
+            if 1 <= j <= terms:
+                a[j] += coefficient
+    return tuple(a[j] for j in range(1, terms + 1))
 
-    empty()
-    return empty
+
+def mp_series(n: int) -> mpmath.mpf:
+    with mpmath.workdps(DPS):
+        return mpmath.fsum(
+            mpmath.mpf(a.p) / a.q * mpmath.mpf(n) ** (mpmath.mpf(1 - 2 * j) / 2)
+            for j, a in enumerate(em_coefficients(), start=1)
+        )
+
+
+@functools.cache
+def mp_direct_sums() -> dict:
+    """sum_{k<n} arctan(k^-1/2) for n = N0 + 1 and 2e4, summed directly in DPS digits."""
+    sums = {}
+    with mpmath.workdps(DPS):
+        total = mpmath.mpf(0)
+        for k in range(1, 2 * 10**4):
+            total += mpmath.atan(1 / mpmath.sqrt(k))
+            if k + 1 in (N0 + 1, 2 * 10**4):
+                sums[k + 1] = total
+    return sums
+
+
+@functools.cache
+def mp_constant() -> mpmath.mpf:
+    """C from the direct sum to 2e4 and the series there."""
+    n = 2 * 10**4
+    with mpmath.workdps(DPS):
+        return mp_direct_sums()[n] - 2 * mpmath.sqrt(n) - mp_series(n)
+
+
+def mp_total_angle(n: int) -> mpmath.mpf:
+    """The expansion in DPS digits: the true sum to ~1e-34 from n = N0 on."""
+    with mpmath.workdps(DPS):
+        return 2 * mpmath.sqrt(n) + mp_constant() + mp_series(n)
 
 
 class TestAngleIncrement:
@@ -94,7 +125,7 @@ class TestAngleIncrement:
 
 class TestIncrements:
     def test_in_place_equals_the_expression(self):
-        n = spiral._AUTO_TABLE_LIMIT
+        n = 2_200_000
         expected = np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64)))
         assert np.array_equal(spiral._increments(1, n).view(np.int64), expected.view(np.int64))
 
@@ -219,83 +250,26 @@ class TestTotalAngle:
 
     def test_increment_consistency_over_table(self):
         # total_angle(n+1) - total_angle(n) equals the increment to within
-        # the float64 quantization of the running total
-        prefix = spiral._prefix_table(10**6)[: 10**6 + 1]
-        incs = np.arctan(1.0 / np.sqrt(np.arange(1, 10**6 + 1, dtype=np.float64)))
-        err = np.abs(np.diff(prefix) - incs)
-        assert float(np.max(err / np.maximum(1.0, prefix[1:]))) < 1e-12
-        assert bool(np.all(np.diff(prefix) > 0))  # strictly increasing
+        # the float64 quantization of the running total, across N0
+        totals = np.array([spiral.total_angle(n) for n in range(1, 2 * 10**5 + 1)])
+        incs = np.array([spiral.angle_increment(k) for k in range(1, 2 * 10**5)])
+        err = np.abs(np.diff(totals) - incs)
+        assert float(np.max(err / np.maximum(1.0, totals[1:]))) < 1e-12
+        assert bool(np.all(np.diff(totals) > 0))  # strictly increasing
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 4097, 65536, 1_000_001, 2_200_000])
     def test_table_is_correctly_rounded(self, n):
-        assert spiral.total_angle(n) == fsum_angle(n)
-
-    def test_correctly_rounded_around_each_growth(self, empty_table):
-        for n in (2, 5, 40, 1000, 70_000):
-            spiral.total_angle(n)
-            size = len(spiral._prefix)
-            # the last entry of this growth and the first of the next
-            for m in (size, size + 1, size + 2):
-                assert spiral.total_angle(m) == fsum_angle(m), m
-
-    def test_staged_growth_equals_one_step(self, empty_table):
-        for n in (1, 2, 3, 7, 5000, 123_457, 10**6, 2_200_000):
-            spiral.total_angle(n)
-        staged = spiral._prefix
-        empty_table()
-        one_step = spiral._prefix_table(2_199_999)
-        assert len(staged) == len(one_step) == 2_200_000
-        assert np.array_equal(staged, one_step)
-
-    def test_block_edges_equal_one_step(self, empty_table):
-        block = spiral._BLOCK
-        sizes = (block - 1, block, block + 1, 3 * block + 1)
-        one_step = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1).view(np.int64)
-        for size in sizes:  # each grown from the initial state
-            empty_table()
-            grown = spiral._prefix_table(size - 1)
-            assert len(grown) == size
-            assert np.array_equal(grown.view(np.int64), one_step[:size]), size
-        empty_table()
-        for size in sizes:  # one table grown in stages
-            grown = spiral._prefix_table(size - 1)
-            assert np.array_equal(grown.view(np.int64), one_step[: len(grown)]), size
-        staged = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1)
-        assert np.array_equal(staged.view(np.int64), one_step)
-
-    def test_table_build_peaks_below_twice_its_size(self, empty_table):
-        tracemalloc.start()
-        try:
-            table = spiral._prefix_table(spiral._AUTO_TABLE_LIMIT - 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(table) == spiral._AUTO_TABLE_LIMIT
-        assert peak < 2 * table.nbytes
+        # the table rounds the sum of the math.atan increments, the closed
+        # form the true sum
+        if n <= N0:
+            assert spiral.total_angle(n) == math.fsum(map(spiral.angle_increment, range(1, n)))
+        else:
+            assert spiral.total_angle(n) == float(mp_total_angle(n))
 
     def test_returns_python_float(self):
-        for n in (1000, spiral._AUTO_TABLE_LIMIT + 1):  # table and streamed
+        for n in (1000, 10**6):  # table and closed form
             assert type(spiral.total_angle(n)) is float
         assert type(spiral.polar_of(1000).angle_total) is float
-
-    @pytest.mark.parametrize("j", [34, 35, 128])
-    def test_memo_equals_streaming_from_one_at_block_boundaries(self, empty_memo, j):
-        for offset in (-1, 0, 1, 2):
-            n = 1 + j * spiral._BLOCK + offset
-            assert spiral.total_angle(n) == spiral.angle_between(1, n), n
-
-    def test_memo_equals_streaming_from_one_past_the_table(self, empty_memo):
-        for n in (spiral._AUTO_TABLE_LIMIT + 1, spiral._AUTO_TABLE_LIMIT + 2):
-            assert spiral.total_angle(n) == spiral.angle_between(1, n), n
-
-    def test_memo_grown_in_stages_equals_one_step(self, empty_memo):
-        block = spiral._BLOCK
-        for n in (spiral._AUTO_TABLE_LIMIT + 1, 1 + 40 * block, 1 + 40 * block + 5, 80 * block):
-            spiral.total_angle(n)
-        staged = spiral._blocks
-        empty_memo()
-        spiral.total_angle(80 * block)
-        assert len(staged) == 79 and staged == spiral._blocks
 
     def test_streamed_matches_table(self):
         n = 50_000
@@ -303,13 +277,38 @@ class TestTotalAngle:
         assert spiral.angle_between(1, n) == pytest.approx(table_value, abs=1e-10)
 
 
-class TestTotalAngleFast:
-    @pytest.mark.parametrize("n", [10**4, 3 * 10**4, 10**5, 10**6, 10**7])
-    def test_matches_direct_sum(self, n):
-        assert abs(spiral.total_angle_fast(n) - spiral.total_angle(n)) < 1e-8
+class TestClosedForm:
+    def test_coefficients_follow_from_euler_maclaurin(self):
+        a = em_coefficients()
+        assert a == (
+            sympy.Rational(1, 6), sympy.Rational(-1, 120), sympy.Rational(-1, 840),
+            sympy.Rational(5, 8064), sympy.Rational(1, 4224), sympy.Rational(-521, 2196480),
+            sympy.Rational(-29, 199680), sympy.Rational(1067, 5013504),
+        )
+        assert [float(x) for x in reversed(a)] == list(spiral._SERIES)
 
-    def test_below_threshold_falls_back_to_direct(self):
-        assert spiral.total_angle_fast(100) == spiral.total_angle(100)
+    def test_constant_from_direct_sum(self):
+        with mpmath.workdps(DPS):
+            literal = mpmath.mpf(spiral.C2) + mpmath.mpf(spiral._C2_LO)
+            assert abs(mp_constant() - literal) < mpmath.mpf("1e-25")
+            # the eight-term series is exact to far below double precision at N0 + 1
+            assert abs(mp_direct_sums()[N0 + 1] - mp_total_angle(N0 + 1)) < mpmath.mpf("1e-30")
+
+    def test_table_equals_fsum_of_the_increments(self):
+        incs = []
+        for n in range(1, N0 + 2):  # the table, and the closed form at N0 + 1
+            assert spiral.total_angle(n) == math.fsum(incs), n
+            incs.append(spiral.angle_increment(n))
+
+    def test_within_half_ulp_of_mpmath(self):
+        rng = random.Random(12)
+        ns = {N0 + 1, 10**12}
+        while len(ns) < 1000:  # log-uniform over (N0, 1e12]
+            ns.add(round(10 ** rng.uniform(math.log10(N0 + 1), 12)))
+        for n in sorted(ns):
+            got = spiral.total_angle(n)
+            with mpmath.workdps(DPS):
+                assert abs(mpmath.mpf(got) - mp_total_angle(n)) <= math.ulp(got) / 2, n
 
 
 class TestEstimateC2:
@@ -323,6 +322,10 @@ class TestEstimateC2:
 
     def test_accelerated_small_k(self):
         assert abs(spiral.estimate_c2(1000) - spiral.C2) < 1e-9
+
+    def test_sums_directly_not_through_the_closed_form(self, monkeypatch):
+        monkeypatch.setattr(spiral, "C2", 0.0)  # the closed form would read this back
+        assert abs(spiral.estimate_c2(10**5) - (-2.157782996659)) < 1e-9
 
     def test_accelerated_constant_across_k(self):
         vals = [spiral.estimate_c2(k) for k in (10**5, 10**6, 10**7)]
@@ -451,32 +454,3 @@ def test_concurrent_table_growth():
         results = list(pool.map(worker, ns))
     for n, got in zip(ns, results):
         assert got == spiral.total_angle(n)
-
-
-def test_concurrent_memo_growth(empty_memo):
-    block = spiral._BLOCK
-    ns = [spiral._AUTO_TABLE_LIMIT + 1, 1 + 40 * block, 60 * block + 7, 1 + 36 * block]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(spiral.total_angle, ns, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(spiral._blocks) == 60  # a block appended twice would lengthen the memo
-    for n, got in zip(ns, results):
-        assert got == spiral.total_angle(n) == spiral.angle_between(1, n)
-
-
-def test_memo_streams_without_the_lock(empty_memo, monkeypatch):
-    held = []
-    increments = spiral._increments
-
-    def spy(lo, hi):
-        held.append(spiral._lock.locked())
-        return increments(lo, hi)
-
-    monkeypatch.setattr(spiral, "_increments", spy)
-    spiral.total_angle(1 + 40 * spiral._BLOCK + 5)
-    # forty full blocks, then one 5-term block
-    assert len(held) == 41 and not any(held)
