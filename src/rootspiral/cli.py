@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fixtures import FixtureError, FixtureSet, load_fixtures
+from .fixtures import WINDOW_LABELS, FixtureError, FixtureSet, load_fixtures
 from .quad import QuadPoly, coefficient_rules_check, newton_fit, shift
 from .report import Report
 
@@ -28,8 +28,6 @@ if TYPE_CHECKING:
 PAPER_C2 = -2.157782996659
 APPENDIX_SQRT17_DEG = 8.84957988
 DENSITY_CSV_HEADER = "index,value,is_prime,factors,sd,first_diff,second_diff"
-
-_AT_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 
 # Most terms one density window or factors --window may scan: near 2^63 Pollard
 # rho costs ~1.1 ms a term, so a full window there takes 11-12 s (2-vCPU VM).
@@ -425,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="prime density over a spot-check window")
     p.add_argument("arm")
-    p.add_argument("--at", choices=_AT_LABELS, default="start")
+    p.add_argument("--at", choices=WINDOW_LABELS, default="start")
     p.add_argument("--len", type=_int_at_least(1, _MAX_SCAN), default=None,
                    help="window length (default from fixture)")
     _add_common(p)

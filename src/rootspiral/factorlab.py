@@ -11,7 +11,7 @@ give a gap pair summing to q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import quad
 from .quad import VALUE_LIMIT, QuadPoly
@@ -119,8 +119,7 @@ def _pollard_brent(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """n as a sorted tuple of (prime, exponent) pairs."""
 
     n: int
@@ -193,8 +192,7 @@ def mod_sqrt(a: int, p: int) -> int | None:
     return r
 
 
-@dataclass(frozen=True)
-class RootClasses:
+class RootClasses(NamedTuple):
     """Residues t mod p with p | f(t), and the recurrence gap structure."""
 
     p: int
@@ -212,7 +210,8 @@ def root_classes(p: QuadPoly, q: int) -> RootClasses:
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if q < 10_000:
-        roots = sorted(t for t in range(q) if p(t) % q == 0)
+        f = p.__call__  # bound once: calling the record p looks up __call__ on every call
+        roots = [t for t in range(q) if f(t) % q == 0]
     elif p.a % q == 0:
         if p.b % q == 0:
             roots = list(range(q)) if p.c % q == 0 else []
@@ -238,8 +237,7 @@ def root_classes(p: QuadPoly, q: int) -> RootClasses:
     return RootClasses(p=q, roots=frozenset(roots), gaps=gaps)
 
 
-@dataclass(frozen=True)
-class AdmissiblePrimes:
+class AdmissiblePrimes(NamedTuple):
     """Primes up to a bound that divide at least one value of the polynomial."""
 
     poly: QuadPoly
@@ -267,8 +265,7 @@ def admissible_primes(p: QuadPoly, bound: int) -> AdmissiblePrimes:
     return AdmissiblePrimes(poly=p, bound=bound, primes=tuple(hits), discriminant=p.discriminant)
 
 
-@dataclass(frozen=True)
-class SplitComparison:
+class SplitComparison(NamedTuple):
     equal: bool
     witness: int | None  # first prime whose root/gap structure differs
 
@@ -289,8 +286,7 @@ def same_splitting(pa: QuadPoly, pb: QuadPoly, bound: int) -> SplitComparison:
     return SplitComparison(equal=True, witness=None)
 
 
-@dataclass(frozen=True)
-class TermRecord:
+class TermRecord(NamedTuple):
     x: int
     value: int
     prime: bool
@@ -298,8 +294,7 @@ class TermRecord:
     coprime30: bool
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Primality and factor structure over one index window of an arm."""
 
     poly: QuadPoly
@@ -343,15 +338,13 @@ def density_scan(p: QuadPoly, x0: int, x1: int) -> DensityReport:
     return DensityReport(poly=p, x0=x0, x1=x1, records=records)
 
 
-@dataclass(frozen=True)
-class ChainCandidate:
+class ChainCandidate(NamedTuple):
     delta1: int
     score: float  # max |per-step angle - 2*pi| over the scored prefix
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ArmChain:
+class ArmChain(NamedTuple):
     """A one-wind-per-step chain found on the spiral."""
 
     seed: int

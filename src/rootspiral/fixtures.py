@@ -12,11 +12,15 @@ holds a non-integer number raises FixtureError with its line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
+from typing import NamedTuple
 
 from .quad import Arm, ArmSystem, QuadPoly
+
+# the prime-share table's spot-check windows: the start of each arm, then the
+# first value reaching each target
+WINDOW_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 
 _TABLE_PREFIXES = {
     "6A": ("P18-",),
@@ -26,19 +30,17 @@ _TABLE_PREFIXES = {
 }
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(NamedTuple):
     """One spot-check window: scan [start_x, start_x + length) of an arm."""
 
     system: str
     arm: str
-    label: str  # start | 2.5e6 | 2.5e7 | 2.5e8 | 2.5e9
+    label: str  # one of WINDOW_LABELS
     start_x: int
     length: int
 
 
-@dataclass(frozen=True)
-class K5Factor:
+class K5Factor(NamedTuple):
     """A pinned factorization row of the K5 intersection table."""
 
     x: int
@@ -46,8 +48,7 @@ class K5Factor:
     factors: str  # "p^e*..." form
 
 
-@dataclass(frozen=True)
-class FixtureSet:
+class FixtureSet(NamedTuple):
     systems: tuple[ArmSystem, ...]  # table arms, file order
     extras: tuple[ArmSystem, ...]  # B33 / K5 style derived records
     windows: tuple[WindowSpec, ...]
@@ -122,10 +123,25 @@ def _parse_arm_record(fields: list[str]) -> tuple[str, str, int, Arm]:
     return system, rotation, d2, Arm(name=armname, fits=fits, terms=terms)
 
 
+def _parse_window(fields: list[str]) -> WindowSpec:
+    """One window record; raises ValueError (int() included) for any field the format rejects."""
+    if len(fields) != 6:
+        raise ValueError(f"window record needs 6 fields, got {len(fields)}")
+    _, system, arm, label, start_s, length_s = fields
+    start_x, length = int(start_s), int(length_s)
+    if label not in WINDOW_LABELS:
+        raise ValueError(f"window label must be one of {'|'.join(WINDOW_LABELS)}, got {label!r}")
+    if start_x < 1:
+        raise ValueError(f"window start_x must be >= 1 (arms are indexed from 1), got {start_x}")
+    if length < 1:
+        raise ValueError(f"window length must be >= 1, got {length}")
+    return WindowSpec(system=system, arm=arm, label=label, start_x=start_x, length=length)
+
+
 def parse_fixtures(text: str) -> FixtureSet:
     # system name -> (d2, rotation, arms) for "arm" and "extra" records, in file order
     books: dict[str, dict[str, tuple[int, str, list[Arm]]]] = {"arm": {}, "extra": {}}
-    windows: list[WindowSpec] = []
+    windows: list[tuple[int, WindowSpec]] = []  # with their line numbers
     k5: list[K5Factor] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -140,17 +156,7 @@ def parse_fixtures(text: str) -> FixtureSet:
                     raise ValueError(f"system {system} changes d2/rotation mid-file")
                 entry[2].append(arm)
             elif kind == "window":
-                if len(fields) != 6:
-                    raise ValueError(f"window record needs 6 fields, got {len(fields)}")
-                windows.append(
-                    WindowSpec(
-                        system=fields[1],
-                        arm=fields[2],
-                        label=fields[3],
-                        start_x=int(fields[4]),
-                        length=int(fields[5]),
-                    )
-                )
+                windows.append((lineno, _parse_window(fields)))
             elif kind == "k5ref":
                 if len(fields) != 6:
                     raise ValueError(f"k5ref record needs 6 fields, got {len(fields)}")
@@ -159,12 +165,17 @@ def parse_fixtures(text: str) -> FixtureSet:
                 raise ValueError(f"unknown record kind {kind!r}")
         except ValueError as exc:  # a bad integer field or a broken record rule
             raise FixtureError(lineno, str(exc)) from None
+    defined = {(name, arm.name) for book in books.values() for name, (_, _, arms) in book.items()
+               for arm in arms}
+    for lineno, w in windows:
+        if (w.system, w.arm) not in defined:
+            raise FixtureError(lineno, f"window names arm {w.system}/{w.arm}, which is not defined")
     systems, extras = (
         tuple(ArmSystem(name, d2, rot, tuple(arms)) for name, (d2, rot, arms) in book.items())
         for book in (books["arm"], books["extra"])
     )
     return FixtureSet(
-        systems=systems, extras=extras, windows=tuple(windows), k5_factors=tuple(k5)
+        systems=systems, extras=extras, windows=tuple(w for _, w in windows), k5_factors=tuple(k5)
     )
 
 

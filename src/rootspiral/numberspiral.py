@@ -11,14 +11,13 @@ one number-spiral curve splits into three arms there (decimation by 3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .quad import QuadPoly, decimate
 
 
-@dataclass(frozen=True)
-class NumberSpiralPoint:
+class NumberSpiralPoint(NamedTuple):
     """Placement of n on the number spiral; theta is in full rotations."""
 
     n: int
@@ -33,8 +32,7 @@ def ns_polar(n: int) -> NumberSpiralPoint:
     return NumberSpiralPoint(n=n, r=rt, theta_rotations=rt)
 
 
-@dataclass(frozen=True)
-class UlamCoord:
+class UlamCoord(NamedTuple):
     """Lattice position of n on the standard square spiral."""
 
     n: int
@@ -65,8 +63,7 @@ def ulam_coord(n: int) -> UlamCoord:
     return UlamCoord(n, -k + 1 + pos, -k)  # right along the bottom
 
 
-@dataclass(frozen=True)
-class OffsetCurve:
+class OffsetCurve(NamedTuple):
     """Classification of a quadratic as a number-spiral offset/composite curve."""
 
     poly: QuadPoly

@@ -9,8 +9,7 @@ exactly (Newton interpolation with integer arithmetic).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class NotQuadraticError(ValueError):
@@ -40,8 +39,7 @@ def _coef(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class QuadPoly:
+class QuadPoly(NamedTuple):
     """Integer quadratic ax^2 + bx + c.
 
     Python integers are unbounded, so evaluation is exact for any inputs;
@@ -101,8 +99,7 @@ class QuadPoly:
         return cls(*coefs)
 
 
-@dataclass(frozen=True)
-class DiffProfile:
+class DiffProfile(NamedTuple):
     """First differences plus the common second difference of a sequence."""
 
     first: tuple[int, ...]
@@ -127,9 +124,9 @@ def extend(seq: Sequence[int], count: int) -> list[int]:
         raise ValueError("count must be >= 0")
     prof = differences(seq)
     out = list(seq)
-    step = prof.first[-1]
+    step, second = prof.first[-1], prof.second
     for _ in range(count):
-        step += prof.second
+        step += second
         out.append(out[-1] + step)
     return out
 
@@ -166,8 +163,7 @@ def decimate(p: QuadPoly, m: int, r: int) -> QuadPoly:
     return QuadPoly(p.a * m * m, (2 * p.a * r + p.b) * m, p(r))
 
 
-@dataclass(frozen=True)
-class Arm:
+class Arm(NamedTuple):
     """One spiral arm: its fitted polynomials and leading terms.
 
     fits[0] is the polynomial through terms 1..3 at x = 1; fits[m] is the
@@ -184,29 +180,35 @@ class Arm:
         return self.fits[0]
 
 
-@dataclass(frozen=True)
-class ArmSystem:
-    """A family of parallel arms sharing a second difference and rotation sense."""
-
+class _ArmSystemFields(NamedTuple):
     name: str
     d2: int
     rotation: str  # "P" (positive) or "N" (negative)
-    arms: tuple[Arm, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.rotation not in ("P", "N"):
-            raise ValueError(f"rotation must be P or N, got {self.rotation!r}")
+    arms: tuple[Arm, ...] = ()
 
 
-@dataclass(frozen=True)
-class RuleFailure:
+class ArmSystem(_ArmSystemFields):
+    """A family of parallel arms sharing a second difference and rotation sense."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, d2: int, rotation: str, arms: tuple[Arm, ...] = ()) -> ArmSystem:
+        if rotation not in ("P", "N"):
+            raise ValueError(f"rotation must be P or N, got {rotation!r}")
+        return super().__new__(cls, name, d2, rotation, arms)
+
+    @classmethod
+    def _make(cls, iterable) -> ArmSystem:  # also behind _replace; the inherited one skips __new__
+        return cls(*iterable)
+
+
+class RuleFailure(NamedTuple):
     arm: str
     rule: str
     detail: str
 
 
-@dataclass(frozen=True)
-class RulesReport:
+class RulesReport(NamedTuple):
     """Outcome of the coefficient rules over one arm system."""
 
     system: str

@@ -8,14 +8,12 @@ derive from the same record, and the JSON form is byte-stable across runs
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 SCHEMA_VERSION = 2
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified claim.  passed=None marks an informational line."""
 
     name: str
@@ -25,12 +23,20 @@ class Check:
     expected: Any = None
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict[str, Any] = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    data: dict[str, Any] = field(default_factory=dict)
+    """The checks, inputs and data of one command; each default is a fresh object."""
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, Any] | None = None,
+        checks: list[Check] | None = None,
+        data: dict[str, Any] | None = None,
+    ) -> None:
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.checks = [] if checks is None else checks
+        self.data = {} if data is None else data
 
     def add(
         self,

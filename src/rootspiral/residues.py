@@ -14,14 +14,13 @@ dividing 30, never up to 900.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .quad import QuadPoly
 
 
-@dataclass(frozen=True)
-class ResidueCycle:
+class ResidueCycle(NamedTuple):
     """Residues of f(1), f(2), ... mod k over one minimal period."""
 
     modulus: int
@@ -67,8 +66,7 @@ def digit_sum(n: int) -> int:
     return sum(int(d) for d in str(n))
 
 
-@dataclass(frozen=True)
-class DigitSumProfile:
+class DigitSumProfile(NamedTuple):
     """Digit sums of the first terms, their ordered distinct values, and the
     gap cycle of the arm's ordered distinct digit sums."""
 

@@ -31,8 +31,7 @@ accumulate counter-clockwise, so ``total_angle(1) == 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +56,7 @@ _N0 = 4096
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SpiralPoint:
+class SpiralPoint(NamedTuple):
     """Polar placement of the natural number n on the spiral."""
 
     n: int

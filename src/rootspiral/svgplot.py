@@ -72,7 +72,8 @@ def _sqrt_xy(ns: Iterable[int]) -> Iterator[tuple[float, float]]:
 
     for n in ns:
         pt = polar_of(n)
-        yield pt.radius * math.cos(pt.angle_total), pt.radius * math.sin(pt.angle_total)
+        r, phi = pt.radius, pt.angle_total
+        yield r * math.cos(phi), r * math.sin(phi)
 
 
 def _arm_polyline(cv: _Canvas, poly: QuadPoly, n_max: int, stroke: str, width: float) -> None:

@@ -142,8 +142,15 @@ class TestParseErrors:
              "invalid literal"),
             ("arm\tP18-A\tA1\tP\t18\t8\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335",
              "does not match d2"),
+            ("window\tP18-B\tB3\tstart\t-5\t12", "start_x must be >= 1"),
+            ("window\tP18-B\tB3\tstart\t0\t12", "start_x must be >= 1"),
+            ("window\tP18-B\tB3\tstart\t1\t0", "length must be >= 1"),
+            ("window\tP18-B\tB3\t2.5e5\t1\t8", "label must be one of start|2.5e6|"),
+            ("window\tP18-B\tB3\tstart\t1", "needs 6 fields"),
         ],
-        ids=["window-start", "k5ref-value", "rotation", "two-terms", "arm-integer", "a-vs-d2"],
+        ids=["window-start", "k5ref-value", "rotation", "two-terms", "arm-integer", "a-vs-d2",
+             "window-negative-start", "window-zero-start", "window-zero-length",
+             "window-label", "window-fields"],
     )
     def test_malformed_record_names_its_line_once(self, record, reason):
         text = "# header\n\n" + record + "\n"
@@ -157,3 +164,15 @@ class TestParseErrors:
         text = "arm\tP18-A\tA1\tP\t18\t9" + terms + "arm\tP18-A\tA2\tN\t18\t9" + terms
         with pytest.raises(FixtureError, match="line 2: system P18-A changes d2/rotation"):
             parse_fixtures(text)
+
+    @pytest.mark.parametrize("system, arm", [("P18-B", "B4"), ("P18-A", "B3"), ("N22-K", "K9")])
+    def test_window_on_an_undefined_arm(self, system, arm):
+        b3 = "arm\tP18-B\tB3\tP\t18\t9\t9\t-1\t27\t17\t45\t53\t63\t107\t17,53,107,179,269,377\n"
+        text = b3 + f"window\t{system}\t{arm}\tstart\t1\t8\n" + "window\tP18-B\tB3\tstart\t1\t8\n"
+        with pytest.raises(FixtureError, match=f"line 2: window names arm {system}/{arm}"):
+            parse_fixtures(text)
+
+    def test_window_may_precede_its_arm(self):
+        b3 = "arm\tP18-B\tB3\tP\t18\t9\t9\t-1\t27\t17\t45\t53\t63\t107\t17,53,107,179,269,377\n"
+        fx = parse_fixtures("window\tP18-B\tB3\t2.5e6\t527\t8\n" + b3)
+        assert fx.windows == (("P18-B", "B3", "2.5e6", 527, 8),)

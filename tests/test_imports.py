@@ -2,7 +2,9 @@
 
 Commands that stream no angle sum run without numpy: placing a point on the
 spiral reads its angle from a closed form.  The package namespace imports a
-submodule only when one of its names is first used.
+submodule only when one of its names is first used.  Records are
+NamedTuples, so no command loads dataclasses (6-9 ms with the inspect module
+it imports); only numpy, in the commands that stream angle sums, loads inspect.
 """
 
 import os
@@ -17,13 +19,14 @@ import rootspiral
 SRC = str(Path(rootspiral.__file__).resolve().parents[1])
 
 # Runs rootspiral.cli.main on the arguments in a fresh interpreter, then
-# lists on the last line of stderr the rootspiral submodules and numpy, where
-# imported, and exits with main's code.
+# lists on the last line of stderr the rootspiral submodules, numpy,
+# dataclasses and inspect, where imported, and exits with main's code.
 RUN_CLI = """
 import sys
 from rootspiral.cli import main
 code = main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m == "numpy" or m.startswith("rootspiral.")),
+print(*sorted(m for m in sys.modules
+              if m in ("numpy", "dataclasses", "inspect") or m.startswith("rootspiral.")),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -61,6 +64,13 @@ def run_python(script, *args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
+def run_cli(tmp_path, argv) -> set[str]:
+    """The modules RUN_CLI lists after a successful run of the command."""
+    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
 def test_import_and_fixture_load_leave_numpy_out(tmp_path):
     script = "import sys, rootspiral; rootspiral.load_fixtures(); print('numpy' in sys.modules)"
     proc = run_python(script, cwd=tmp_path)
@@ -71,7 +81,8 @@ def test_import_and_fixture_load_leave_numpy_out(tmp_path):
 def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
     script = (
         "import sys, rootspiral.cli; rootspiral.cli.load_fixtures();"
-        " print(*sorted(m for m in sys.modules if m.startswith('rootspiral.')))"
+        " print(*sorted(m for m in sys.modules if m.startswith('rootspiral.')"
+        " or m in ('dataclasses', 'inspect')))"
     )
     proc = run_python(script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -98,9 +109,8 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
     ids=" ".join,
 )
 def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
-    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "numpy" not in proc.stderr.splitlines()[-1].split()
+    loaded = run_cli(tmp_path, argv)
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -118,10 +128,11 @@ def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
     ids=" ".join,
 )
 def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
-    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.splitlines()[-1].split())
+    loaded = run_cli(tmp_path, argv)
     assert not loaded & {f"rootspiral.{module}" for module in unused}
+    assert "dataclasses" not in loaded
+    # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
+    assert "inspect" not in loaded or "numpy" in loaded
 
 
 @pytest.mark.parametrize(
@@ -130,8 +141,10 @@ def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
     ids=" ".join,
 )
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
-    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
+    loaded = run_cli(tmp_path, argv)
+    assert "dataclasses" not in loaded
+    # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
+    assert "inspect" not in loaded or "numpy" in loaded
 
 
 def test_public_names_resolve_to_their_modules(tmp_path):
