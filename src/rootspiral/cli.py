@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fixtures import WINDOW_LABELS, FixtureError, FixtureSet, load_fixtures
+from .fixtures import MAX_SCAN, WINDOW_LABELS, FixtureError, FixtureSet, load_fixtures
 from .quad import QuadPoly, coefficient_rules_check, newton_fit, shift
 from .report import Report
 
@@ -28,11 +28,6 @@ if TYPE_CHECKING:
 PAPER_C2 = -2.157782996659
 APPENDIX_SQRT17_DEG = 8.84957988
 DENSITY_CSV_HEADER = "index,value,is_prime,factors,sd,first_diff,second_diff"
-
-# Most terms one density window or factors --window may scan: near 2^63 Pollard
-# rho costs ~1.1 ms a term, so a full window there takes 11-12 s (2-vCPU VM).
-_MAX_SCAN = 10**4
-
 
 class SystemExit2(Exception):
     """Usage/configuration error: exits with status 2."""
@@ -62,14 +57,14 @@ def _window_bounds(text: str) -> tuple[int, int]:
 
 
 def _window(text: str) -> str:
-    """argparse type: a valid index window of at most _MAX_SCAN terms, kept as typed."""
+    """argparse type: a valid index window of at most MAX_SCAN terms, kept as typed."""
     lo, hi = _window_bounds(text)
     if lo < 1:
         raise argparse.ArgumentTypeError(f"window {text!r} starts at {lo}; arms are indexed from 1")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"window {text!r} is reversed: {hi} < {lo}")
-    if hi - lo > _MAX_SCAN:
-        raise argparse.ArgumentTypeError(f"window spans {hi - lo} terms, at most {_MAX_SCAN}")
+    if hi - lo > MAX_SCAN:
+        raise argparse.ArgumentTypeError(f"window spans {hi - lo} terms, at most {MAX_SCAN}")
     return text
 
 
@@ -424,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="prime density over a spot-check window")
     p.add_argument("arm")
     p.add_argument("--at", choices=WINDOW_LABELS, default="start")
-    p.add_argument("--len", type=_int_at_least(1, _MAX_SCAN), default=None,
+    p.add_argument("--len", type=_int_at_least(1, MAX_SCAN), default=None,
                    help="window length (default from fixture)")
     _add_common(p)
 
@@ -437,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations here, so that a stray --seed is an error, not --seed-n
     p = sub.add_parser("detect", help="detect a one-wind arm chain from a seed", allow_abbrev=False)
-    # each step streams ~2*pi*sqrt(n) angle terms: at both bounds a run
-    # takes ~3.5 s (2-vCPU VM), length 10^4 from seed 17 already ~6 s
+    # each reported drift streams ~2*pi*sqrt(n) angle terms: at both bounds a
+    # run takes 1.0-1.3 s at 32 MB (2-vCPU VM), length 10^3 from seed 17 0.3 s
     p.add_argument("--seed-n", dest="seed_n", type=_int_at_least(1, 10**9), required=True,
                    help="first chain value")
     p.add_argument("--d2", type=int, choices=(18, 20, 22), required=True)

@@ -365,18 +365,18 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     Candidate first steps are the even integers within +-15 of
     2*pi*sqrt(seed) (one wind); each candidate is extended by the constant
     d2 recurrence and scored by its worst per-step angular drift over the
-    first ten steps, summed directly by spiral.angles_between (step i of
-    every candidate in one call, so the overlapping steps share one set of
-    increments).  The per-step angle tends to sqrt(2*d2) radians, so
-    one-wind-per-step chains need sqrt(2*d2) near 2*pi, i.e. d2 near
-    2*pi^2 ~ 19.7; that is why the observed prime-rich chains carry d2 in
-    {18, 20, 22}.  Candidates whose drift reaches a quarter wind within those
-    ten steps are discarded; the drifts of later steps are computed for the
-    best candidate only, in one angles_between call over its consecutive
-    steps.  If one of those reaches a quarter wind too, ChainNotFoundError is
-    raised, so every returned drift is below pi/2 in absolute value.  (The
-    per-step bend d2/sqrt(n) shrinks with n: from seed ~9.4e5 on, a d2 = 200
-    chain passes the ten-step score and drifts away only later.)
+    first ten steps, each step's angle read from the closed form
+    (spiral._span, O(1) per step).  The per-step angle tends to sqrt(2*d2)
+    radians, so one-wind-per-step chains need sqrt(2*d2) near 2*pi, i.e. d2
+    near 2*pi^2 ~ 19.7; that is why the observed prime-rich chains carry d2
+    in {18, 20, 22}.  Candidates whose drift reaches a quarter wind within
+    those ten steps are discarded.  The drifts of the best candidate, all
+    length - 1 of them, are then summed directly, step by step, by
+    spiral.angle_between.  If one of those reaches a quarter wind,
+    ChainNotFoundError is raised, so every returned drift is below pi/2 in
+    absolute value.  (The per-step bend d2/sqrt(n) shrinks with n: from seed
+    ~9.4e5 on, a d2 = 200 chain passes the ten-step score and drifts away
+    only later.)
     """
     from . import spiral  # imported by its only user, so factor and density runs skip it
 
@@ -393,21 +393,17 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     chains = [
         quad.extend([seed, seed + delta1, seed + 2 * delta1 + d2], count - 3) for delta1 in delta1s
     ]
-    # step i of every candidate at once: the candidates' steps overlap
-    scored = [spiral.angles_between([(v[i], v[i + 1]) for v in chains]) for i in range(_SCORE_STEPS)]
     candidates = []
-    for c, (delta1, vals) in enumerate(zip(delta1s, chains)):
-        drifts = [angles[c] - spiral.TWO_PI for angles in scored]
-        score = max(abs(d) for d in drifts)
+    for delta1, vals in zip(delta1s, chains):
+        score = max(abs(spiral._span(vals[i], vals[i + 1]) - spiral.TWO_PI)
+                    for i in range(_SCORE_STEPS))
         if score < math.pi / 2.0:
-            candidates.append((score, delta1, vals, drifts))
+            candidates.append((score, delta1, vals))
     if not candidates:
         raise ChainNotFoundError(f"no admissible first step near 2*pi*sqrt({seed})")
     candidates.sort(key=lambda item: (item[0], item[1]))
-    _, delta1, vals, drifts = candidates[0]
-    later = spiral.angles_between([(vals[i], vals[i + 1]) for i in range(_SCORE_STEPS, length - 1)])
-    drifts += [angle - spiral.TWO_PI for angle in later]
-    drifts = drifts[: length - 1]
+    _, delta1, vals = candidates[0]
+    drifts = [spiral.angle_between(vals[i], vals[i + 1]) - spiral.TWO_PI for i in range(length - 1)]
     for i, drift in enumerate(drifts):
         if abs(drift) >= math.pi / 2.0:
             raise ChainNotFoundError(
@@ -422,6 +418,6 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
         drifts=tuple(drifts),
         candidates=tuple(
             ChainCandidate(delta1=d1, score=s, values=tuple(v[:length]))
-            for s, d1, v, _ in candidates
+            for s, d1, v in candidates
         ),
     )

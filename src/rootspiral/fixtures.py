@@ -6,8 +6,9 @@ definitions of the prime-share table, and the legible rows of the K5
 intersection-point factor column.  Records are data, never code; the
 serializer reproduces record lines byte-identically for round-trip checks.
 Each arm record is checked as it is read: rotation P or N, a = d2/2, six
-terms, and fit 1 reproducing every term.  A record that breaks a rule or
-holds a non-integer number raises FixtureError with its line number.
+terms, and fit 1 reproducing every term; each window is at most MAX_SCAN
+terms long.  A record that breaks a rule or holds a non-integer number
+raises FixtureError with its line number.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .quad import Arm, ArmSystem, QuadPoly
 # the prime-share table's spot-check windows: the start of each arm, then the
 # first value reaching each target
 WINDOW_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
+
+# Most terms one density window or factors --window may scan: near 2^63 Pollard
+# rho costs ~1.1 ms a term, so a full window there takes 11-12 s (2-vCPU VM).
+MAX_SCAN = 10**4
 
 _TABLE_PREFIXES = {
     "6A": ("P18-",),
@@ -135,6 +140,8 @@ def _parse_window(fields: list[str]) -> WindowSpec:
         raise ValueError(f"window start_x must be >= 1 (arms are indexed from 1), got {start_x}")
     if length < 1:
         raise ValueError(f"window length must be >= 1, got {length}")
+    if length > MAX_SCAN:
+        raise ValueError(f"window length must be <= {MAX_SCAN}, got {length}")
     return WindowSpec(system=system, arm=arm, label=label, start_x=start_x, length=length)
 
 

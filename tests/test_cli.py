@@ -142,6 +142,18 @@ class TestDensity:
         assert code == 2 and out == ""
         assert "line 2: window start_x must be >= 1" in err
 
+    def test_fixture_window_past_the_scan_bound_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "window.tsv"
+        bad.write_text(
+            "arm\tP18-B\tB3\tP\t18\t9\t9\t-1\t27\t17\t45\t53\t63\t107\t17,53,107,179,269,377\n"
+            "window\tP18-B\tB3\tstart\t1\t100000000\n",
+            encoding="utf-8",
+        )
+        code = main(["--fixture-file", str(bad), "density", "B3", "--at", "start"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "line 2: window length must be <= 10000" in err
+
     def test_b3_25e9_window(self, capsys):
         code, out = run(capsys, "density", "B3", "--at", "2.5e9")
         assert code == 0

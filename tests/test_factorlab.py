@@ -347,7 +347,9 @@ class TestDetectArmChain:
     @example(seed=10**9, d2=18)
     @example(seed=940_781, d2=200)
     def test_candidate_scores_are_the_oracle_angles(self, seed, d2):
-        # every even first step within 15 of one wind, scored on its own
+        # every even first step within 15 of one wind, scored on its own by
+        # streamed sums; detect ranks by the closed form, so the candidates
+        # and their order must be the same and the scores agree to 4e-14
         base = 2 * math.pi * math.sqrt(seed)
         expected = []
         for delta1 in range(max(2, math.ceil(base - 15)), math.floor(base + 15) + 1):
@@ -364,7 +366,9 @@ class TestDetectArmChain:
         except ChainNotFoundError:
             assert expected == []
             return
-        assert [(c.score, c.delta1, c.values) for c in chain.candidates] == expected
+        assert [(c.delta1, c.values) for c in chain.candidates] == [e[1:] for e in expected]
+        for c, (score, _, _) in zip(chain.candidates, expected):
+            assert abs(c.score - score) <= 4e-14
 
     # Below ~9.4e5 every first step of a d2 = 200 chain drifts past a quarter
     # wind within the ten scored steps; further out the per-step bend

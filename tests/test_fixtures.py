@@ -3,6 +3,7 @@
 import pytest
 
 from rootspiral.fixtures import (
+    MAX_SCAN,
     FixtureError,
     fixture_text,
     load_fixtures,
@@ -145,12 +146,13 @@ class TestParseErrors:
             ("window\tP18-B\tB3\tstart\t-5\t12", "start_x must be >= 1"),
             ("window\tP18-B\tB3\tstart\t0\t12", "start_x must be >= 1"),
             ("window\tP18-B\tB3\tstart\t1\t0", "length must be >= 1"),
+            ("window\tP18-B\tB3\tstart\t1\t10001", "length must be <= 10000"),
             ("window\tP18-B\tB3\t2.5e5\t1\t8", "label must be one of start|2.5e6|"),
             ("window\tP18-B\tB3\tstart\t1", "needs 6 fields"),
         ],
         ids=["window-start", "k5ref-value", "rotation", "two-terms", "arm-integer", "a-vs-d2",
              "window-negative-start", "window-zero-start", "window-zero-length",
-             "window-label", "window-fields"],
+             "window-too-long", "window-label", "window-fields"],
     )
     def test_malformed_record_names_its_line_once(self, record, reason):
         text = "# header\n\n" + record + "\n"
@@ -171,6 +173,11 @@ class TestParseErrors:
         text = b3 + f"window\t{system}\t{arm}\tstart\t1\t8\n" + "window\tP18-B\tB3\tstart\t1\t8\n"
         with pytest.raises(FixtureError, match=f"line 2: window names arm {system}/{arm}"):
             parse_fixtures(text)
+
+    def test_window_of_the_scan_bound_is_accepted(self):
+        b3 = "arm\tP18-B\tB3\tP\t18\t9\t9\t-1\t27\t17\t45\t53\t63\t107\t17,53,107,179,269,377\n"
+        fx = parse_fixtures(b3 + f"window\tP18-B\tB3\tstart\t1\t{MAX_SCAN}\n")
+        assert MAX_SCAN == 10_000 and fx.windows[0].length == MAX_SCAN
 
     def test_window_may_precede_its_arm(self):
         b3 = "arm\tP18-B\tB3\tP\t18\t9\t9\t-1\t27\t17\t45\t53\t63\t107\t17,53,107,179,269,377\n"

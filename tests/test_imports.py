@@ -1,7 +1,8 @@
 """Process floor: each command loads only the modules it uses.
 
 Commands that stream no angle sum run without numpy: placing a point on the
-spiral reads its angle from a closed form.  The package namespace imports a
+spiral reads its angle from a closed form, and locating the next wind
+bisects closed-form spans.  The package namespace imports a
 submodule only when one of its names is first used.  Records are
 NamedTuples, so no command loads dataclasses (6-9 ms with the inspect module
 it imports); only numpy, in the commands that stream angle sums, loads inspect.
@@ -73,6 +74,16 @@ def run_cli(tmp_path, argv) -> set[str]:
 
 def test_import_and_fixture_load_leave_numpy_out(tmp_path):
     script = "import sys, rootspiral; rootspiral.load_fixtures(); print('numpy' in sys.modules)"
+    proc = run_python(script, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_closed_form_angles_leave_numpy_out(tmp_path):
+    script = (
+        "import sys; from rootspiral import spiral;"
+        " spiral.winding_gap(10**6); spiral.total_angle(10**9); print('numpy' in sys.modules)"
+    )
     proc = run_python(script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -103,6 +103,21 @@ def mp_total_angle(n: int) -> mpmath.mpf:
         return 2 * mpmath.sqrt(n) + mp_constant() + mp_series(n)
 
 
+@functools.cache
+def mp_table() -> tuple:
+    """sum_{k<n} arctan(k^-1/2) for n = 1 .. N0 + 1, summed directly in DPS digits."""
+    sums = [mpmath.mpf(0)]
+    with mpmath.workdps(DPS):
+        for k in range(1, N0 + 1):
+            sums.append(sums[-1] + mpmath.atan(1 / mpmath.sqrt(k)))
+    return tuple(sums)
+
+
+def mp_angle(n: int) -> mpmath.mpf:
+    """The true sum_{k<n} arctan(k^-1/2): direct up to N0 + 1, the expansion above."""
+    return mp_table()[n - 1] if n <= N0 + 1 else mp_total_angle(n)
+
+
 class TestAngleIncrement:
     def test_unit_triangle_is_45_degrees(self):
         assert spiral.angle_increment(1) == pytest.approx(PI / 4, abs=1e-15)
@@ -166,67 +181,6 @@ class TestBlockedSum:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-
-
-class TestAnglesBetween:
-    def each(self, spans):
-        return [spiral.angle_between(n1, n2) for n1, n2 in spans]
-
-    def test_overlapping_chain_steps(self):
-        seed = 10**8
-        spans = [(seed + 10 * d, seed + 11 * d + 180) for d in range(62_818, 62_848, 2)]
-        assert spiral.angles_between(spans) == self.each(spans)
-
-    def test_spans_longer_than_a_chunk(self):
-        a, chunk = 10**8, 1 << 21
-        spans = [(a, a + chunk + 100), (a + 8, a + 2 * chunk + 9), (a + 3, a + 3)]
-        assert spiral.angles_between(spans) == self.each(spans)
-
-    @pytest.mark.parametrize("gap, arrays", [(0, 4), (1, 7)])
-    def test_sharing_boundary(self, monkeypatch, gap, arrays):
-        # at the first three offsets the blocks' union spans two blocks, so they
-        # share one array, or two blocks and a term, so each has its own
-        a, block = 10**8, spiral._BLOCK
-        spans = [(a, a + 3 * block + 5), (a + block + gap, a + 4 * block + gap)]
-        expected = self.each(spans)
-        calls = []
-        increments = spiral._increments
-
-        def spy(lo, hi):
-            calls.append(hi - lo)
-            return increments(lo, hi)
-
-        monkeypatch.setattr(spiral, "_increments", spy)
-        assert spiral.angles_between(spans) == expected
-        assert len(calls) == arrays and max(calls) <= 2 * block
-
-    def test_spans_too_far_apart_to_share(self):
-        spans = [(1, 5000), (10**8, 10**8 + 70_000), (17, 53)]
-        assert spiral.angles_between(spans) == self.each(spans)
-
-    def test_disjoint_spans_within_two_chunks_are_summed_block_by_block(self):
-        # the blocks at each offset lie 2^21 apart, too far to share one array
-        a = 10**8
-        spans = [(a, a + 2**20), (a + 2**21, a + 2**21 + 2**20)]
-        expected = self.each(spans)
-        tracemalloc.start()
-        try:
-            got = spiral.angles_between(spans)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == expected
-        assert peak < 2 * 2**20
-
-    def test_empty(self):
-        assert spiral.angles_between([]) == []
-        assert spiral.angles_between([(5, 5)]) == [0.0]
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            spiral.angles_between([(1, 10), (10, 9)])
-        with pytest.raises(ValueError):
-            spiral.angles_between([(0, 10)])
 
 
 class TestTotalAngle:
@@ -311,6 +265,39 @@ class TestClosedForm:
                 assert abs(mpmath.mpf(got) - mp_total_angle(n)) <= math.ulp(got) / 2, n
 
 
+class TestSpan:
+    """The closed-form span against 40-digit mpmath sums."""
+
+    @staticmethod
+    def spans(rng, lo, hi, count):
+        """count spans with n1 log-uniform in [lo, hi], each about one wind long or shorter."""
+        out = []
+        for _ in range(count):
+            n1 = round(10 ** rng.uniform(math.log10(lo), math.log10(hi)))
+            out.append((n1, n1 + rng.randint(0, math.ceil(2 * PI * math.sqrt(n1)) + 30)))
+        return out
+
+    @staticmethod
+    def error(n1, n2) -> float:
+        with mpmath.workdps(DPS):
+            return abs(float(mpmath.mpf(spiral._span(n1, n2)) - (mp_angle(n2) - mp_angle(n1))))
+
+    def test_in_the_table_and_across_it(self):
+        rng = random.Random(3)
+        spans = [(1, 1), (1, N0), (1, N0 + 1), (N0, N0 + 1), (N0, N0 + 500)]
+        spans += [(n1, min(n2, N0)) for n1, n2 in self.spans(rng, 1, N0, 300)]
+        spans += [(rng.randint(N0 - 500, N0), rng.randint(N0 + 1, N0 + 500)) for _ in range(100)]
+        for n1, n2 in spans:
+            assert self.error(n1, n2) <= 4e-14, (n1, n2)
+
+    def test_above_the_table_within_2_ulp(self):
+        rng = random.Random(4)
+        spans = [(N0 + 1, N0 + 2), (10**8, 10**8), (10**9, 10**9 + 198_700), (10**8, 10**9)]
+        spans += self.spans(rng, N0 + 1, 10**9, 300)
+        for n1, n2 in spans:
+            assert self.error(n1, n2) <= 2 * math.ulp(spiral._span(n1, n2)), (n1, n2)
+
+
 class TestEstimateC2:
     def test_raw_low_precision(self):
         assert abs(spiral.estimate_c2(100, accelerate=False) - (-2.1578)) < 0.05
@@ -372,9 +359,9 @@ class TestWindingGap:
     def test_medium_n(self):
         assert abs(spiral.winding_gap(10**4) - PI) < 0.01
 
-    @pytest.mark.parametrize("n", [100, 10**4, 10**6])
+    @pytest.mark.parametrize("n", [100, 4095, 4097, 10**4, 10**6, 10**7])
     def test_matches_mpmath_root(self, n):
-        assert abs(spiral.winding_gap(n) - mp_winding_gap(n)) < 1e-12
+        assert abs(spiral.winding_gap(n) - mp_winding_gap(n)) < 2e-14
 
     def test_approaches_pi_from_above(self):
         gaps = [spiral.winding_gap(n) for n in (100, 1000, 10**4, 10**5)]
@@ -428,7 +415,8 @@ class TestAngleBetween:
         )
 
     def test_empty_range(self):
-        assert spiral.angle_between(5, 5) == 0.0
+        for n in (1, 5, 10**8):
+            assert spiral.angle_between(n, n) == 0.0
 
     @pytest.mark.parametrize("n1, n2", [(0, 5), (10, 9)])
     def test_domain(self, n1, n2):
