@@ -298,6 +298,22 @@ class TestSpan:
             assert self.error(n1, n2) <= 2 * math.ulp(spiral._span(n1, n2)), (n1, n2)
 
 
+class TestAnglesBetween:
+    """A chain's spans in both forms: streamed by angle_between, closed by _span."""
+
+    def test_empty(self):
+        for n in (1, 5, N0, N0 + 1, 10**8):
+            assert spiral.angle_between(n, n) == 0.0
+            assert spiral._span(n, n) == 0.0
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            [spiral.angle_between(n1, n2) for n1, n2 in [(1, 10), (10, 9)]]
+        for span in (spiral.angle_between, spiral._span):
+            with pytest.raises(ValueError):
+                span(0, 10)
+
+
 class TestEstimateC2:
     def test_raw_low_precision(self):
         assert abs(spiral.estimate_c2(100, accelerate=False) - (-2.1578)) < 0.05
