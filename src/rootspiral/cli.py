@@ -18,8 +18,11 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .fixtures import MAX_SCAN, WINDOW_LABELS, FixtureError, FixtureSet, load_fixtures
-from .quad import QuadPoly, coefficient_rules_check, newton_fit, shift
+from .fixtures import (
+    MAX_SCAN, TABLE_PREFIXES, WINDOW_LABELS, FixtureError, FixtureLookupError, FixtureSet,
+    load_fixtures,
+)
+from .quad import QuadPoly, coefficient_rules_check
 from .report import Report
 
 if TYPE_CHECKING:
@@ -33,14 +36,14 @@ class SystemExit2(Exception):
     """Usage/configuration error: exits with status 2."""
 
 
-def _int_at_least(lowest: int, highest: int | None = None):
-    """argparse type: an integer >= lowest (and <= highest, if given)."""
+def _int_at_least(lowest: int, highest: int):
+    """argparse type: an integer in [lowest, highest]."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
-        if highest is not None and value > highest:
+        if value > highest:
             raise argparse.ArgumentTypeError(f"must be <= {highest}, got {value}")
         return value
 
@@ -77,7 +80,7 @@ def _resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
     try:
         system, arm = fx.find_arm(text)
         return f"{system.name}/{arm.name}", arm.poly
-    except KeyError as exc:
+    except FixtureLookupError as exc:
         lookup_error = exc
     try:
         return text, QuadPoly.parse(text)
@@ -133,24 +136,22 @@ def cmd_constants(args: argparse.Namespace, fx: FixtureSet) -> Report:
 
 
 def _verify_system(report: Report, system) -> int:
-    """Check every arm of the system and its coefficient rules; returns the arms passed."""
+    """Check each arm's rules and mod-10 period, then the system's rules; returns the arms passed.
+
+    The loader has already checked fit 1 against the six terms, so the rules
+    hold for an arm exactly when each later fit is the one before shifted by 1.
+    """
     from . import residues
 
+    rules = coefficient_rules_check(system)
     passed = 0
     for arm in system.arms:
-        woes = []
-        fit1 = newton_fit(1, arm.terms[:3])
-        if fit1 != arm.fits[0]:
-            woes.append(f"newton fit gives {fit1}, table says {arm.fits[0]}")
-        for m in range(1, len(arm.fits)):
-            if shift(arm.fits[m - 1], 1) != arm.fits[m]:
-                woes.append(f"shift does not reproduce fit {m + 1}")
+        woes = [f"{f.rule}: {f.detail}" for f in rules.failures if f.arm == arm.name]
         period = residues.residue_cycle(arm.poly, 10).period
         if period not in (1, 5):
             woes.append(f"mod-10 period {period}")
         report.add(f"{system.name}/{arm.name}", not woes, "; ".join(woes))
         passed += not woes
-    rules = coefficient_rules_check(system)
     report.add(
         f"{system.name} coefficient rules",
         rules.ok,
@@ -161,9 +162,11 @@ def _verify_system(report: Report, system) -> int:
 
 def cmd_verify_tables(args: argparse.Namespace, fx: FixtureSet) -> Report:
     report = Report(command="verify-tables", inputs={"which": args.which})
-    tables = ("6A", "6B", "6C", "7") if args.which == "all" else (args.which,)
+    tables = tuple(TABLE_PREFIXES) if args.which == "all" else (args.which,)
     for which in tables:
         systems = fx.table_systems(which)
+        if not systems:
+            raise SystemExit2(f"fixture set has no table {which} arms")
         arms = sum(len(s.arms) for s in systems)
         passed = sum(_verify_system(report, system) for system in systems)
         report.data[f"table {which}"] = f"{passed}/{arms} arms pass"
@@ -403,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation index for the angle sums")
     _add_common(p)
 
-    p = sub.add_parser("verify-tables", help="re-derive the polynomial tables")
-    p.add_argument("--which", choices=("6A", "6B", "6C", "7", "all"), default="all")
+    p = sub.add_parser("verify-tables", help="check the polynomial tables")
+    p.add_argument("--which", choices=(*TABLE_PREFIXES, "all"), default="all")
     _add_common(p)
 
     p = sub.add_parser("factors", help="admissible primes and factor periods of an arm")
@@ -471,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         report = _DISPATCH[args.cmd](args, fx)
     except (SystemExit2, OverflowError) as exc:  # overflow: an input outside the exact range
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FixtureLookupError as exc:  # e.g. plot fig7 on a fixture file without K5
+        print(f"fixture error: {exc.args[0]}", file=sys.stderr)
         return 2
     rendered = report.to_json() if args.json else report.to_text()
     if args.out and args.cmd != "plot":

@@ -249,16 +249,16 @@ class AdmissiblePrimes(NamedTuple):
 def admissible_primes(p: QuadPoly, bound: int) -> AdmissiblePrimes:
     """Every prime q <= bound with a root of f mod q.
 
-    For q not dividing 2a this is the Legendre-symbol test on the
-    discriminant; q = 2 and q | a fall back to the brute-force route
-    inside root_classes.
+    For q not dividing 2a, f has a root mod q exactly when the discriminant
+    has a square root mod q (mod_sqrt); q = 2 and q | a fall back to
+    root_classes.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     hits = []
     for q in primes_up_to(bound):
         if q > 2 and (2 * p.a) % q != 0:
-            if pow(p.discriminant, (q - 1) // 2, q) in (0, 1):
+            if mod_sqrt(p.discriminant, q) is not None:
                 hits.append(q)
         elif root_classes(p, q).roots:
             hits.append(q)

@@ -3,12 +3,12 @@
 The file carries the transcribed polynomial tables (one record per arm
 with all four printed fits and the first six terms), the spot-check window
 definitions of the prime-share table, and the legible rows of the K5
-intersection-point factor column.  Records are data, never code; the
-serializer reproduces record lines byte-identically for round-trip checks.
+intersection-point factor column.  Records are data, never code.
 Each arm record is checked as it is read: rotation P or N, a = d2/2, six
-terms, and fit 1 reproducing every term; each window is at most MAX_SCAN
-terms long.  A record that breaks a rule or holds a non-integer number
-raises FixtureError with its line number.
+terms, fit 1 reproducing every term, and no second record for the same
+SYSTEM/ARM; each window is at most MAX_SCAN terms long.  A record that
+breaks a rule or holds a non-integer number raises FixtureError with its
+line number.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ WINDOW_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 # rho costs ~1.1 ms a term, so a full window there takes 11-12 s (2-vCPU VM).
 MAX_SCAN = 10**4
 
-_TABLE_PREFIXES = {
+# the source tables and the system-name prefixes of their arms
+TABLE_PREFIXES = {
     "6A": ("P18-",),
     "6B": ("N20-", "P20-"),
     "6C": ("N22-",),
@@ -61,9 +62,11 @@ class FixtureSet(NamedTuple):
 
     def table_systems(self, which: str) -> tuple[ArmSystem, ...]:
         """Systems belonging to one source table: 6A, 6B, 6C or 7."""
-        prefixes = _TABLE_PREFIXES.get(which)
+        prefixes = TABLE_PREFIXES.get(which)
         if prefixes is None:
-            raise KeyError(f"unknown table {which!r}; expected one of {sorted(_TABLE_PREFIXES)}")
+            raise FixtureLookupError(
+                f"unknown table {which!r}; expected one of {sorted(TABLE_PREFIXES)}"
+            )
         return tuple(s for s in self.systems if s.name.startswith(prefixes))
 
     def find_arm(self, name: str) -> tuple[ArmSystem, Arm]:
@@ -81,18 +84,18 @@ class FixtureSet(NamedTuple):
                     for arm in system.arms:
                         if arm.name == armname:
                             return system, arm
-            raise KeyError(f"no arm {armname!r} in system {sysname!r}")
+            raise FixtureLookupError(f"no arm {armname!r} in system {sysname!r}")
         hits = []
         for system in pools:
             prefix = system.name.split("-")[0]  # "P20-G" -> "P20", so "P20-G1" works
             for arm in system.arms:
-                if name in (arm.name, f"{prefix}-{arm.name}", f"{system.name}-{arm.name}"):
+                if name in (arm.name, f"{prefix}-{arm.name}"):
                     hits.append((system, arm))
         if not hits:
-            raise KeyError(f"unknown arm {name!r}")
+            raise FixtureLookupError(f"unknown arm {name!r}")
         if len(hits) > 1:
             named = sorted(f"{s.name}/{a.name}" for s, a in hits)
-            raise KeyError(f"ambiguous arm {name!r}: matches {named}")
+            raise FixtureLookupError(f"ambiguous arm {name!r}: matches {named}")
         return hits[0]
 
 
@@ -102,6 +105,10 @@ class FixtureError(ValueError):
     def __init__(self, lineno: int, message: str) -> None:
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+class FixtureLookupError(KeyError):
+    """A table, system or arm name the fixture set does not define."""
 
 
 def _parse_arm_record(fields: list[str]) -> tuple[str, str, int, Arm]:
@@ -148,6 +155,7 @@ def _parse_window(fields: list[str]) -> WindowSpec:
 def parse_fixtures(text: str) -> FixtureSet:
     # system name -> (d2, rotation, arms) for "arm" and "extra" records, in file order
     books: dict[str, dict[str, tuple[int, str, list[Arm]]]] = {"arm": {}, "extra": {}}
+    defined: dict[tuple[str, str], int] = {}  # (system, arm) -> the line defining it
     windows: list[tuple[int, WindowSpec]] = []  # with their line numbers
     k5: list[K5Factor] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -158,6 +166,9 @@ def parse_fixtures(text: str) -> FixtureSet:
         try:
             if kind in books:
                 system, rotation, d2, arm = _parse_arm_record(fields)
+                first = defined.setdefault((system, arm.name), lineno)
+                if first != lineno:
+                    raise ValueError(f"arm {system}/{arm.name} is already defined on line {first}")
                 entry = books[kind].setdefault(system, (d2, rotation, []))
                 if entry[:2] != (d2, rotation):
                     raise ValueError(f"system {system} changes d2/rotation mid-file")
@@ -172,8 +183,6 @@ def parse_fixtures(text: str) -> FixtureSet:
                 raise ValueError(f"unknown record kind {kind!r}")
         except ValueError as exc:  # a bad integer field or a broken record rule
             raise FixtureError(lineno, str(exc)) from None
-    defined = {(name, arm.name) for book in books.values() for name, (_, _, arms) in book.items()
-               for arm in arms}
     for lineno, w in windows:
         if (w.system, w.arm) not in defined:
             raise FixtureError(lineno, f"window names arm {w.system}/{w.arm}, which is not defined")
@@ -184,30 +193,6 @@ def parse_fixtures(text: str) -> FixtureSet:
     return FixtureSet(
         systems=systems, extras=extras, windows=tuple(w for _, w in windows), k5_factors=tuple(k5)
     )
-
-
-def serialize_records(fx: FixtureSet) -> str:
-    """Record lines (no comments) in canonical order; used for round-trip checks."""
-    lines = []
-    for kind, bundle in (("arm", fx.systems), ("extra", fx.extras)):
-        for system in bundle:
-            for arm in system.arms:
-                flat: list[str] = []
-                for fit in arm.fits:
-                    flat += [str(fit.b), str(fit.c)]
-                lines.append(
-                    "\t".join(
-                        [kind, system.name, arm.name, system.rotation, str(system.d2),
-                         str(system.d2 // 2)]
-                        + flat
-                        + [",".join(str(t) for t in arm.terms)]
-                    )
-                )
-    for w in fx.windows:
-        lines.append("\t".join(["window", w.system, w.arm, w.label, str(w.start_x), str(w.length)]))
-    for ref in fx.k5_factors:
-        lines.append("\t".join(["k5ref", "N22-K", "K5", str(ref.x), str(ref.value), ref.factors]))
-    return "\n".join(lines) + "\n"
 
 
 def fixture_text() -> str:

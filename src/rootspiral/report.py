@@ -24,19 +24,13 @@ class Check(NamedTuple):
 
 
 class Report:
-    """The checks, inputs and data of one command; each default is a fresh object."""
+    """The checks, inputs and data of one command; each report starts with fresh containers."""
 
-    def __init__(
-        self,
-        command: str,
-        inputs: dict[str, Any] | None = None,
-        checks: list[Check] | None = None,
-        data: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, command: str, inputs: dict[str, Any] | None = None) -> None:
         self.command = command
         self.inputs = {} if inputs is None else inputs
-        self.checks = [] if checks is None else checks
-        self.data = {} if data is None else data
+        self.checks: list[Check] = []
+        self.data: dict[str, Any] = {}
 
     def add(
         self,

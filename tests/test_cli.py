@@ -7,7 +7,10 @@ import json
 import pytest
 
 from rootspiral.cli import _first_reaching, main
+from rootspiral.fixtures import fixture_text
 from rootspiral.quad import QuadPoly
+
+A1_RECORD = "arm\tP18-A\tA1\tP\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
 
 
 def run(capsys, *argv):
@@ -86,7 +89,21 @@ class TestVerifyTables:
         code = main(["--fixture-file", str(bad), "verify-tables", "--which", "6A"])
         out = capsys.readouterr().out
         assert code == 1
-        assert "[FAIL] P18-A/A1" in out
+        assert (
+            "[FAIL] P18-A/A1  b-step=d2: fit 1 -> 2 steps b by 20; "
+            "b-step=d2: fit 2 -> 3 steps b by 16\n"
+        ) in out
+        assert "[FAIL] P18-A coefficient rules  A1:b-step=d2; A1:b-step=d2\n" in out
+        assert "table 6A: 0/1 arms pass" in out
+
+    @pytest.mark.parametrize("which", ["6B", "all"])
+    def test_table_without_arms_exits_2(self, capsys, tmp_path, which):
+        one = tmp_path / "one.tsv"
+        one.write_text(A1_RECORD, encoding="utf-8")
+        code = main(["--fixture-file", str(one), "verify-tables", "--which", which])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: fixture set has no table 6B arms\n"
 
 
 class TestFactors:
@@ -412,6 +429,34 @@ class TestUsageErrors:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize(
+        "drop, argv, message",
+        [
+            ("K5", ("plot", "fig7"), "unknown arm 'K5'"),
+            ("SQ-P41", ("verify-tables",), "no arm 'P+41A' in system 'SQ-P41'"),
+        ],
+        ids=["fig7 without K5", "verify-tables without the Euler split"],
+    )
+    def test_name_the_fixture_file_lacks_exits_2(self, capsys, tmp_path, drop, argv, message):
+        partial = tmp_path / "partial.tsv"
+        lines = fixture_text().splitlines(keepends=True)
+        partial.write_text("".join(line for line in lines if drop not in line), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--fixture-file", str(partial), *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"fixture error: {message}\n"
+
+    def test_second_record_for_an_arm_exits_2(self, capsys, tmp_path):
+        twice = tmp_path / "twice.tsv"
+        twice.write_text(A1_RECORD * 2, encoding="utf-8")
+        code = main(["--fixture-file", str(twice), "factors", "A1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "fixture error: line 2: arm P18-A/A1 is already defined on line 1\n"
+        )
 
     def test_non_utf8_fixture_file_exits_2(self, capsys, tmp_path):
         binary = tmp_path / "binary.tsv"

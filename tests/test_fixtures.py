@@ -1,14 +1,16 @@
-"""Fixture file: parsing, integrity, round-tripping, lookups."""
+"""Fixture file: parsing, integrity, record counts, lookups."""
+
+from collections import Counter
 
 import pytest
 
 from rootspiral.fixtures import (
     MAX_SCAN,
     FixtureError,
+    FixtureLookupError,
     fixture_text,
     load_fixtures,
     parse_fixtures,
-    serialize_records,
 )
 from rootspiral.quad import newton_fit, shift
 
@@ -32,13 +34,19 @@ def test_extras_present(fx):
     assert names == {"B33", "K5"}
 
 
-def test_round_trip_byte_identical(fx):
-    text = fixture_text()
-    record_lines = "".join(
-        line + "\n" for line in text.splitlines() if line.strip() and not line.startswith("#")
+def test_every_record_line_is_loaded(fx):
+    kinds = Counter(
+        line.split("\t", 1)[0]
+        for line in fixture_text().splitlines()
+        if line.strip() and not line.startswith("#")
     )
-    assert serialize_records(fx) == record_lines
-    assert serialize_records(parse_fixtures(text)) == record_lines
+    loaded = {
+        "arm": sum(len(s.arms) for s in fx.systems),
+        "extra": sum(len(s.arms) for s in fx.extras),
+        "window": len(fx.windows),
+        "k5ref": len(fx.k5_factors),
+    }
+    assert loaded == kinds == {"arm": 109, "extra": 2, "window": 15, "k5ref": 13}
 
 
 def test_every_arm_is_internally_consistent(fx):
@@ -108,8 +116,17 @@ class TestFindArm:
             fx.find_arm("G1")
 
     def test_unknown(self, fx):
-        with pytest.raises(KeyError):
+        with pytest.raises(FixtureLookupError):
             fx.find_arm("Z9")
+        with pytest.raises(FixtureLookupError, match="no arm 'B99' in system 'P18-B'"):
+            fx.find_arm("P18-B/B99")
+        with pytest.raises(FixtureLookupError, match="unknown table"):
+            fx.table_systems("8")
+
+    @pytest.mark.parametrize("name", ["P20-G-G1", "P18-B-B3"])
+    def test_system_dash_arm_is_not_a_name(self, fx, name):
+        with pytest.raises(FixtureLookupError, match="unknown arm"):
+            fx.find_arm(name)
 
     def test_extra_arm(self, fx):
         _, arm = fx.find_arm("B33")
@@ -160,6 +177,13 @@ class TestParseErrors:
             parse_fixtures(text)
         assert exc.value.lineno == 3
         assert str(exc.value).startswith("line 3: ") and str(exc.value).count("line ") == 1
+
+    @pytest.mark.parametrize("kind", ["arm", "extra"])
+    def test_second_record_for_an_arm(self, kind):
+        terms = "\tP\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
+        text = "arm\tP18-A\tA1" + terms + "# comment\n" + f"{kind}\tP18-A\tA1" + terms
+        with pytest.raises(FixtureError, match="line 3: arm P18-A/A1 is already defined on line 1"):
+            parse_fixtures(text)
 
     def test_system_changing_rotation_mid_file(self):
         terms = "\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
