@@ -6,9 +6,9 @@ definitions of the prime-share table, and the legible rows of the K5
 intersection-point factor column.  Records are data, never code.
 Each arm record is checked as it is read: rotation P or N, a = d2/2, six
 terms, fit 1 reproducing every term, and no second record for the same
-SYSTEM/ARM; each window is at most MAX_SCAN terms long.  A record that
-breaks a rule or holds a non-integer number raises FixtureError with its
-line number.
+SYSTEM/ARM; each window is at most MAX_SCAN terms long, and each window and
+k5ref record names an arm the file defines.  A record that breaks a rule
+or holds a non-integer number raises FixtureError with its line number.
 """
 
 from __future__ import annotations
@@ -156,8 +156,10 @@ def parse_fixtures(text: str) -> FixtureSet:
     # system name -> (d2, rotation, arms) for "arm" and "extra" records, in file order
     books: dict[str, dict[str, tuple[int, str, list[Arm]]]] = {"arm": {}, "extra": {}}
     defined: dict[tuple[str, str], int] = {}  # (system, arm) -> the line defining it
-    windows: list[tuple[int, WindowSpec]] = []  # with their line numbers
+    windows: list[WindowSpec] = []
     k5: list[K5Factor] = []
+    # (line, kind, system, arm) of each window and k5ref record, checked once all arms are read
+    named: list[tuple[int, str, str, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -174,24 +176,26 @@ def parse_fixtures(text: str) -> FixtureSet:
                     raise ValueError(f"system {system} changes d2/rotation mid-file")
                 entry[2].append(arm)
             elif kind == "window":
-                windows.append((lineno, _parse_window(fields)))
+                windows.append(_parse_window(fields))
+                named.append((lineno, kind, *fields[1:3]))
             elif kind == "k5ref":
                 if len(fields) != 6:
                     raise ValueError(f"k5ref record needs 6 fields, got {len(fields)}")
                 k5.append(K5Factor(x=int(fields[3]), value=int(fields[4]), factors=fields[5]))
+                named.append((lineno, kind, *fields[1:3]))
             else:
                 raise ValueError(f"unknown record kind {kind!r}")
         except ValueError as exc:  # a bad integer field or a broken record rule
             raise FixtureError(lineno, str(exc)) from None
-    for lineno, w in windows:
-        if (w.system, w.arm) not in defined:
-            raise FixtureError(lineno, f"window names arm {w.system}/{w.arm}, which is not defined")
+    for lineno, kind, system, arm in named:
+        if (system, arm) not in defined:
+            raise FixtureError(lineno, f"{kind} names arm {system}/{arm}, which is not defined")
     systems, extras = (
         tuple(ArmSystem(name, d2, rot, tuple(arms)) for name, (d2, rot, arms) in book.items())
         for book in (books["arm"], books["extra"])
     )
     return FixtureSet(
-        systems=systems, extras=extras, windows=tuple(w for _, w in windows), k5_factors=tuple(k5)
+        systems=systems, extras=extras, windows=tuple(windows), k5_factors=tuple(k5)
     )
 
 

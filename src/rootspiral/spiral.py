@@ -8,8 +8,10 @@ limit quantities (winding gap -> pi, square-to-square angle -> 360/pi
 degrees).
 
 A cumulative angle costs O(1).  Up to n = 4096 (_N0) it is read from a
-prefix table of the math.atan increments, correctly rounded and built at
-import in pure Python.  Above it, it is the Euler-Maclaurin expansion
+prefix table of the math.atan increments, built at import in pure Python:
+every increment below _N0 is a whole number of 2^-64 units, so the table
+holds exact integer running sums and each read divides once, correctly
+rounded.  Above _N0 it is the Euler-Maclaurin expansion
 
     sum_{k<n} arctan(1/sqrt(k)) = 2 sqrt(n) + C + sum_{j=1}^{8} a_j n^{-(2j-1)/2}
 
@@ -18,15 +20,17 @@ Theodorus", Amer. Math. Monthly 2004), whose truncation error there is
 below 1e-34.
 
 A span sum_{n1 <= k < n2} arctan(1/sqrt(k)) has two forms.  _span
-differences the closed form, in O(1); above _N0 it writes
-2 sqrt(n2) - 2 sqrt(n1) as 2 (n2 - n1) / (sqrt(n1) + sqrt(n2)), so it does
-not cancel.  It ranks chain candidates and locates the next wind.
-angle_between streams the span instead: it sums blocks of 2^16 increments
-(_BLOCK) with numpy and merges the block sums with math.fsum, so a sum holds
-one block of increments (512 KiB) at a time.  It is the direct-summation
-oracle behind reported drifts, estimate_c2 and square_arm_angle.  numpy is
-imported only by _increments, so importing this module, placing points and
-locating winds do not load it.
+differences the closed form in O(1), or reads a span inside the table from
+the table; above _N0 it writes 2 sqrt(n2) - 2 sqrt(n1) as
+2 (n2 - n1) / (sqrt(n1) + sqrt(n2)), so it does not cancel.  It ranks chain candidates, locates the next wind and gives
+square_arm_angle.  angle_between sums the span directly instead: the part
+below _N0 is the difference of two table entries, the correctly rounded
+sum of its math.atan increments, in O(1); the part from _N0 up is streamed
+in blocks of 2^16 increments (_BLOCK) summed with numpy, and the pieces
+are merged with math.fsum, so a sum holds one block of increments
+(512 KiB) at a time.  It is the direct-summation oracle behind reported
+drifts and estimate_c2.  numpy is imported only by _increments, so only a
+span reaching past _N0 loads it.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -90,21 +94,26 @@ def _increments(lo: int, hi: int) -> np.ndarray:
     return np.arctan(out, out=out)
 
 
-def _prefix_sums() -> tuple[float, ...]:
-    """total_angle(n) for n = 1 .. _N0, each correctly rounded.
+def _prefix_units() -> tuple[int, ...]:
+    """sum_{k<n} arctan(1/sqrt(k)) for n = 1 .. _N0, in exact units of 2^-64.
 
-    Every increment for k < _N0 is >= 2^-7, hence a whole multiple of 2^-64:
-    the running sum of those multiples is an exact integer, and one true
-    division rounds each prefix once.
+    Every math.atan increment for k < _N0 is >= 2^-7, hence a whole multiple
+    of 2^-64: the running sums of those multiples are exact integers, and the
+    difference of two of them is an exact span, rounded once on division.
     """
-    units, sums = 0, [0.0]
+    units, sums = 0, [0]
     for k in range(1, _N0):
         units += int(math.ldexp(angle_increment(k), 64))
-        sums.append(units / 2**64)
+        sums.append(units)
     return tuple(sums)
 
 
-_TABLE = _prefix_sums()
+_UNITS = _prefix_units()
+
+
+def _table_span(n1: int, n2: int) -> float:
+    """sum_{k=n1}^{n2-1} of the math.atan increments, correctly rounded; needs n1 <= n2 <= _N0."""
+    return (_UNITS[n2 - 1] - _UNITS[n1 - 1]) / 2**64
 
 
 def _block_sum(lo: int, hi: int) -> float:
@@ -125,18 +134,18 @@ def total_angle(n: int) -> float:
     """Cumulative angle of ray sqrt(n): sum_{k=1}^{n-1} arctan(1/sqrt(k)).
 
     Up to n = 4096 it is read from the prefix table: the correctly rounded
-    sum of the math.atan increments.  Above, it is 2 sqrt(n) + C + the
-    eight-term series.  The rounding error of sqrt(n) is recovered with
-    Dekker's exact product, and 2 sqrt(n) + C is carried as a two-sum, so
-    for n <= 2^53 the result is within 0.5 + 1e-4 ulp of the true sum
-    (measured against 45-digit mpmath; the excess is below 0.3/n ulp up to
-    n = 1e12): correctly rounded unless the sum lies that close to a
-    rounding midpoint.
+    sum of the math.atan increments, divided out of its exact units.
+    Above, it is 2 sqrt(n) + C + the eight-term series.  The rounding error
+    of sqrt(n) is recovered with Dekker's exact product, and 2 sqrt(n) + C
+    is carried as a two-sum, so for n <= 2^53 the result is within
+    0.5 + 1e-4 ulp of the true sum (measured against 45-digit mpmath; the
+    excess is below 0.3/n ulp up to n = 1e12): correctly rounded unless the
+    sum lies that close to a rounding midpoint.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n <= _N0:
-        return _TABLE[n - 1]
+        return _UNITS[n - 1] / 2**64
     s = math.sqrt(n)
     # s*s == sq + err exactly: 2^27 + 1 splits s into two 26-bit halves
     c = 134217729.0 * s
@@ -153,12 +162,17 @@ def total_angle(n: int) -> float:
 def _span(n1: int, n2: int) -> float:
     """sum_{k=n1}^{n2-1} arctan(1/sqrt(k)) from the closed form, in O(1).
 
-    For n1 <= _N0 it is total_angle(n2) - total_angle(n1), within 4e-14 of
-    the true sum for the one-wind spans that chains take.  Above,
+    Inside the prefix table it is the table's exact span.  For n1 <= _N0 <
+    n2 it is total_angle(n2) - total_angle(n1), within 4e-14 of the true sum
+    for the one-wind spans that chains take.  Above,
     2 sqrt(n2) - 2 sqrt(n1) is written as 2 (n2 - n1) / (sqrt(n1) + sqrt(n2))
     and the series tails are differenced, so nothing cancels: within 2 ulp of
     the true sum (both measured against 40-digit mpmath).
     """
+    if n1 < 1:
+        raise ValueError(f"n1 must be >= 1, got {n1}")
+    if n2 <= _N0:
+        return _table_span(n1, n2)
     if n1 <= _N0:
         return total_angle(n2) - total_angle(n1)
     s1, s2 = math.sqrt(n1), math.sqrt(n2)
@@ -166,26 +180,33 @@ def _span(n1: int, n2: int) -> float:
 
 
 def angle_between(n1: int, n2: int) -> float:
-    """Partial angle sum_{k=n1}^{n2-1} arctan(1/sqrt(k)), always streamed.
+    """Partial angle sum_{k=n1}^{n2-1} arctan(1/sqrt(k)), summed directly.
 
-    The direct-summation oracle behind reported drifts, estimate_c2,
-    square_arm_angle and the tests: it never goes through the closed form.
-    The span is cut into blocks of 2^16 terms starting at n1; each block is
-    summed with numpy and the block sums are merged with math.fsum.
+    The direct-summation oracle behind reported drifts, estimate_c2 and the
+    tests: it never goes through the closed form.  The terms below _N0 come
+    from the prefix table as the correctly rounded sum of their math.atan
+    increments, so a span inside the table costs O(1) and needs no numpy.
+    The terms from _N0 up are cut into blocks of 2^16 starting at
+    max(n1, _N0); each block is summed with numpy, and the head and the
+    block sums are merged with math.fsum.
     """
     if not 1 <= n1 <= n2:
         raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
-    return math.fsum(_block_sum(a, min(a + _BLOCK, n2)) for a in range(n1, n2, _BLOCK))
+    head = _table_span(n1, min(n2, _N0)) if n1 < _N0 else 0.0
+    tail = (_block_sum(a, min(a + _BLOCK, n2)) for a in range(max(n1, _N0), n2, _BLOCK))
+    return math.fsum([head, *tail])
 
 
 def estimate_c2(k: int, accelerate: bool = True) -> float:
     """Estimate the spiral constant from the angle sum truncated at k.
 
-    The sum is streamed by angle_between(1, k), not read from the closed
-    form, so the estimate checks C2 independently.  Raw mode returns it
-    minus 2*sqrt(k), which converges from above like 1/(6 sqrt(k)).
-    Accelerated mode also subtracts the expansion's tail and is accurate to
-    ~1e-10 already for k around 1e3.
+    The sum is angle_between(1, k), a direct sum that never reads the closed
+    form, so the estimate checks C2 independently.  Up to k = _N0 (4096) it
+    is the exact prefix table, in O(1); above, the terms from _N0 up are
+    streamed.  Raw mode returns it minus 2*sqrt(k), which converges from
+    above like 1/(6 sqrt(k)).  Accelerated mode also subtracts the
+    expansion's tail and is accurate to ~1e-10 already for k around 1e3; at
+    k = 4096 it is within 4e-15 of C (40-digit mpmath).
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -230,11 +251,14 @@ def square_arm_angle(m: int) -> float:
 
     Approaches 360/pi ~ 114.5916 deg as m grows (the three-arm geometry of
     the square numbers: three successive squares nearly trisect the circle,
-    leaving 360 - 3*(360/pi) ~ 16.23 deg of backward drift per wind).
+    leaving 360 - 3*(360/pi) ~ 16.23 deg of backward drift per wind).  The
+    span of 2m + 1 terms is taken from _span in O(1), so no angles are
+    streamed: up to m = 63 it is the exact prefix-table span, at m = 64
+    within 4e-14 and from m = 65 on within 2 ulp of the true sum.
     """
     if m < 2:
         raise ValueError(f"m must be >= 2, got {m}")
-    return math.degrees(angle_between(m * m, (m + 1) * (m + 1))) % 360.0
+    return math.degrees(_span(m * m, (m + 1) * (m + 1))) % 360.0
 
 
 def delta_r(n: int) -> float:

@@ -91,11 +91,12 @@ def plot_sqrt_spiral(n: int) -> str:
     for x, y in pts:
         cv.line(0.0, 0.0, x, y, "#cccccc", 0.5)
     cv.polyline(pts, "#555555", 1.0)
+    primes = set(factorlab.primes_up_to(n))
     for k, (x, y) in enumerate(pts, start=1):
         root = math.isqrt(k)
         if root * root == k:
             cv.circle(x, y, 4.0, "#2ca05a")
-        elif factorlab.is_prime(k):
+        elif k in primes:
             cv.circle(x, y, 3.0, "#d4a800")
     return cv.render()
 
@@ -105,11 +106,12 @@ def plot_number_spiral(n: int) -> str:
     from .numberspiral import ns_polar
 
     cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
+    primes = set(factorlab.primes_up_to(n))
     for k in range(n + 1):
         pt = ns_polar(k)
         ang = 2.0 * math.pi * pt.theta_rotations
         x, y = pt.r * math.cos(ang), pt.r * math.sin(ang)
-        if k >= 2 and factorlab.is_prime(k):
+        if k in primes:
             cv.circle(x, y, 2.4, "#222222")
         else:
             cv.circle(x, y, 1.2, "#bbbbbb")
@@ -122,22 +124,23 @@ def plot_ulam(n: int) -> str:
 
     cv = _Canvas(math.isqrt(n) / 2.0 + 1.5)
     dot = max(1.0, 0.42 * cv.scale)
-    for k in range(1, n + 1):
+    primes = set(factorlab.primes_up_to(n))
+    squares = {r * r for r in range(1, math.isqrt(n) + 1)}
+    for k in sorted(primes | squares):  # only the cells drawn, in index order
         c = ulam_coord(k)
-        if factorlab.is_prime(k):
+        if k in primes:
             cv.circle(float(c.x), float(c.y), dot, "#222222")
         else:
-            root = math.isqrt(k)
-            if root * root == k:
-                cv.circle(float(c.x), float(c.y), 0.7 * dot, "#2ca05a")
+            cv.circle(float(c.x), float(c.y), 0.7 * dot, "#2ca05a")
     return cv.render()
 
 
 def plot_arms(system: ArmSystem, n_max: int) -> str:
     """Spiral dots with one system's arms overlaid as polylines."""
     cv = _Canvas(math.sqrt(n_max) * 1.05 + 1.0)
+    primes = set(factorlab.primes_up_to(n_max))
     for k, (x, y) in enumerate(_sqrt_xy(range(1, n_max + 1)), start=1):
-        if factorlab.is_prime(k):
+        if k in primes:
             cv.circle(x, y, 2.2, "#d4a800")
         else:
             cv.circle(x, y, 0.8, "#cccccc")

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from rootspiral.cli import _first_reaching, main
+from rootspiral import spiral
+from rootspiral.cli import _first_reaching, build_parser, main
 from rootspiral.fixtures import fixture_text
 from rootspiral.quad import QuadPoly
 
@@ -29,6 +30,10 @@ class TestConstants:
         code, out = run(capsys, "constants", "--k", "100")
         assert code == 0
         assert "[info] c2-raw" in out
+        assert "[PASS] winding-gap  winding_gap(1000000)" in out  # closed form at any k
+
+    def test_default_k_is_the_prefix_table_end(self):
+        assert build_parser().parse_args(["constants"]).k == spiral._N0
 
     def test_json_schema(self, capsys):
         code, out = run(capsys, "--json", "constants", "--k", "1000")
@@ -456,6 +461,16 @@ class TestUsageErrors:
         assert code == 2 and captured.out == ""
         assert captured.err == (
             "fixture error: line 2: arm P18-A/A1 is already defined on line 1\n"
+        )
+
+    def test_k5ref_on_an_undefined_arm_exits_2(self, capsys, tmp_path):
+        stray = tmp_path / "stray.tsv"
+        stray.write_text(A1_RECORD + "k5ref\tP18-X\tB3\t2\t49\t7^2\n", encoding="utf-8")
+        code = main(["--fixture-file", str(stray), "factors", "A1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "fixture error: line 2: k5ref names arm P18-X/B3, which is not defined\n"
         )
 
     def test_non_utf8_fixture_file_exits_2(self, capsys, tmp_path):

@@ -166,10 +166,11 @@ class TestParseErrors:
             ("window\tP18-B\tB3\tstart\t1\t10001", "length must be <= 10000"),
             ("window\tP18-B\tB3\t2.5e5\t1\t8", "label must be one of start|2.5e6|"),
             ("window\tP18-B\tB3\tstart\t1", "needs 6 fields"),
+            ("k5ref\tP18-X\tB3\t2\t49\t7^2", "k5ref names arm P18-X/B3, which is not defined"),
         ],
         ids=["window-start", "k5ref-value", "rotation", "two-terms", "arm-integer", "a-vs-d2",
              "window-negative-start", "window-zero-start", "window-zero-length",
-             "window-too-long", "window-label", "window-fields"],
+             "window-too-long", "window-label", "window-fields", "k5ref-arm"],
     )
     def test_malformed_record_names_its_line_once(self, record, reason):
         text = "# header\n\n" + record + "\n"

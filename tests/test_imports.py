@@ -1,11 +1,13 @@
 """Process floor: each command loads only the modules it uses.
 
 Commands that stream no angle sum run without numpy: placing a point on the
-spiral reads its angle from a closed form, and locating the next wind
-bisects closed-form spans.  The package namespace imports a
-submodule only when one of its names is first used.  Records are
-NamedTuples, so no command loads dataclasses (6-9 ms with the inspect module
-it imports); only numpy, in the commands that stream angle sums, loads inspect.
+spiral reads its angle from a closed form, locating the next wind bisects
+closed-form spans, and a direct sum below 4096 reads the exact prefix
+table, so the default constants and the README detect need no numpy
+either.  The package namespace imports a submodule only when one of its
+names is first used.  Records are NamedTuples, so no command loads
+dataclasses (6-9 ms with the inspect module it imports); only numpy, in
+the commands that stream angle sums past 4096, loads inspect.
 """
 
 import os
@@ -105,6 +107,8 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("constants",),
+        ("detect", "--seed-n", "17", "--d2", "18", "--length", "6"),
         ("verify-tables", "--which", "all"),
         ("factors", "B3", "--bound", "61"),
         ("factors", "Q3", "--compare", "S1"),
@@ -148,11 +152,15 @@ def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
 
 @pytest.mark.parametrize(
     "argv",
-    [("constants", "--k", "5000"), ("detect", "--seed-n", "17", "--d2", "18", "--length", "6")],
+    [
+        ("constants", "--k", "5000"),
+        ("detect", "--seed-n", "1000000", "--d2", "20", "--length", "50"),
+    ],
     ids=" ".join,
 )
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
     loaded = run_cli(tmp_path, argv)
+    assert "numpy" in loaded  # spans reaching past the prefix table are streamed
     assert "dataclasses" not in loaded
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
     assert "inspect" not in loaded or "numpy" in loaded

@@ -160,7 +160,7 @@ class TestBlockedSum:
         exact = fsum_span(lo, lo + length)
         assert abs(spiral.angle_between(lo, lo + length) - exact) <= 2 * math.ulp(exact)
 
-    @pytest.mark.parametrize("lo", [1, 2_200_001, 10**8])
+    @pytest.mark.parametrize("lo", [1, 4000, 2_200_001, 10**8])  # 4000: head in the table
     @pytest.mark.parametrize(
         "length", [1, 7, 8, 9, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, (1 << 21) - 1, 1 << 21]
     )
@@ -313,6 +313,14 @@ class TestAnglesBetween:
             with pytest.raises(ValueError):
                 span(0, 10)
 
+    def test_inside_the_table_is_the_fsum_of_the_increments(self):
+        rng = random.Random(5)
+        spans = [(1, 2), (1, N0), (N0 - 1, N0), (17, 53), (53, 107)]
+        spans += [tuple(sorted(rng.sample(range(1, N0 + 1), 2))) for _ in range(300)]
+        for n1, n2 in spans:
+            exact = math.fsum(map(spiral.angle_increment, range(n1, n2)))
+            assert spiral.angle_between(n1, n2) == exact == spiral._span(n1, n2), (n1, n2)
+
 
 class TestEstimateC2:
     def test_raw_low_precision(self):
@@ -325,6 +333,12 @@ class TestEstimateC2:
 
     def test_accelerated_small_k(self):
         assert abs(spiral.estimate_c2(1000) - spiral.C2) < 1e-9
+
+    def test_at_the_table_end_within_4e_minus_15_of_mpmath(self):
+        # a direct sum read from the exact table: no streaming, and closer
+        # to C than the streamed estimate_c2(10**6) (1.3e-13 off)
+        with mpmath.workdps(DPS):
+            assert abs(mpmath.mpf(spiral.estimate_c2(N0)) - mp_constant()) < 4e-15
 
     def test_sums_directly_not_through_the_closed_form(self, monkeypatch):
         monkeypatch.setattr(spiral, "C2", 0.0)  # the closed form would read this back
