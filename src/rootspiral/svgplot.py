@@ -124,13 +124,12 @@ def plot_ulam(n: int) -> str:
 
     cv = _Canvas(math.isqrt(n) / 2.0 + 1.5)
     dot = max(1.0, 0.42 * cv.scale)
-    primes = set(factorlab.primes_up_to(n))
-    squares = {r * r for r in range(1, math.isqrt(n) + 1)}
-    for k in sorted(primes | squares):  # only the cells drawn, in index order
-        c = ulam_coord(k)
-        if k in primes:
+    for k in range(1, n + 1):
+        if factorlab.is_prime(k):
+            c = ulam_coord(k)
             cv.circle(float(c.x), float(c.y), dot, "#222222")
-        else:
+        elif math.isqrt(k) ** 2 == k:
+            c = ulam_coord(k)
             cv.circle(float(c.x), float(c.y), 0.7 * dot, "#2ca05a")
     return cv.render()
 
