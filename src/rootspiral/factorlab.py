@@ -16,11 +16,29 @@ from typing import NamedTuple
 from . import quad
 from .quad import VALUE_LIMIT, QuadPoly
 
-# Deterministic Miller-Rabin witness set: the first twelve primes decide
-# primality for every n below _MR_LIMIT (OEIS A014233(12)), the least strong
-# pseudoprime to all of them, = 399165290221 * 798330580441 ~ 3.19e23.
+# Deterministic Miller-Rabin witness set and, aligned with it, the bound below
+# which the witnesses before each one already decide primality.  _MR_BOUNDS[k]
+# for k >= 1 is OEIS A014233(k), the least strong pseudoprime to the first k
+# witnesses (Jaeschke, Math. Comp. 61, 1993); _MR_BOUNDS[0] = 41^2, since an n
+# below it with no prime factor up to 37 is prime.  The last bound, _MR_LIMIT
+# = 399165290221 * 798330580441 ~ 3.19e23, is where all twelve stop being enough.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318_665_857_834_031_151_167_461
+_MR_BOUNDS = (
+    1_681,
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
+_MR_LIMIT = _MR_BOUNDS[-1]
 # Pollard rho steps (squarings of y) one factor search may take.  A value below
 # 2^63 has a factor below 2^31.5, found within 2^18 steps in every one of 300
 # balanced semiprimes tried near 2^62; the budget is 64 times that.  It splits
@@ -51,9 +69,14 @@ _TRIAL_PRIMES = tuple(primes_up_to(1000))
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below _MR_LIMIT ~ 3.19e23.
 
-    A 'composite' answer is exact for every n.  From _MR_LIMIT =
-    318665857834031151167461 on, the first n that the twelve witnesses
-    wrongly call prime, an n that passes them all raises OverflowError.
+    After trial division by the witnesses 2..37, the witnesses run in order
+    and n is prime as soon as it lies below the bound of the prefix that has
+    passed: below 41^2 = 1681 with none, below 2047 after base 2, below
+    3215031751 after bases 2..7, and every base only from 3825123056546413051
+    on (OEIS A014233).  A 'composite' answer is exact for every n.  From
+    _MR_LIMIT = 318665857834031151167461 on, the first n that the twelve
+    witnesses wrongly call prime, an n that passes them all raises
+    OverflowError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -65,7 +88,9 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
+        if n < bound:
+            return True
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

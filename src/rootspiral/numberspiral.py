@@ -11,10 +11,12 @@ one number-spiral curve splits into three arms there (decimation by 3).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .quad import QuadPoly, decimate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NumberSpiralPoint(NamedTuple):
@@ -73,6 +75,8 @@ class OffsetCurve(NamedTuple):
 
 
 def classify_offset_curve(p: QuadPoly) -> OffsetCurve:
+    from fractions import Fraction  # imported on use: no command builds a Fraction
+
     root = math.isqrt(p.a) if p.a >= 0 else 0
     is_offset = p.a > 0 and root * root == p.a
     is_composite = is_offset and p.c == 0
@@ -106,6 +110,8 @@ def composite_params(angle_num: int, angle_den: int) -> tuple[int, int, Fraction
     For angle n/d with even denominator: a = (d/2)^2, b = n, offset =
     (n/d)^2; odd denominators are doubled first.
     """
+    from fractions import Fraction
+
     if angle_den < 1:
         raise ValueError(f"denominator must be >= 1, got {angle_den}")
     if math.gcd(angle_num, angle_den) != 1 and not (angle_num == 0 and angle_den == 1):

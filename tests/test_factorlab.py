@@ -49,9 +49,11 @@ class TestIsPrime:
         assert not is_prime(1)
 
     def test_against_sieve(self):
-        flags = set(primes_up_to(20000))
-        for n in range(1, 20000):
-            assert is_prime(n) == (n in flags)
+        # covers every n below the k = 2 bound, so also the base-2 band, whose
+        # bound 2047 = 23 * 89 trial division catches on its own
+        flags = set(primes_up_to(2 * 10**6))
+        for n in range(1, 2 * 10**6):
+            assert is_prime(n) == (n in flags), n
 
     def test_largest_64bit_prime(self):
         assert is_prime(18446744073709551557)
@@ -83,6 +85,65 @@ class TestIsPrime:
             n = rng.randrange(2**64, factorlab._MR_LIMIT) | 1
             assert is_prime(n) == sympy.isprime(n), n
         assert is_prime(factorlab._MR_LIMIT - 2) == sympy.isprime(factorlab._MR_LIMIT - 2)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: whether odd n > 2 passes base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+# OEIS A014233(k), k = 1..12: the least strong pseudoprime to the first k primes
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461,
+)
+_BANDS = [(lo, hi) for lo, hi in zip(factorlab._MR_BOUNDS, factorlab._MR_BOUNDS[1:]) if lo < hi]
+
+
+class TestWitnessSchedule:
+    def test_each_value_is_a_strong_pseudoprime_to_its_prefix(self):
+        for k, n in enumerate(A014233, 1):
+            assert not sympy.isprime(n), n
+            assert all(_strong_probable_prime(n, a) for a in factorlab._MR_WITNESSES[:k]), k
+
+    def test_bounds_are_a014233_after_41_squared(self):
+        assert factorlab._MR_BOUNDS == (41 * 41, *A014233)
+        assert factorlab._MR_LIMIT == A014233[-1]
+
+    @pytest.mark.parametrize("k", range(1, 12))
+    def test_pseudoprime_to_the_first_k_bases_is_composite(self, k):
+        # a k-th bound larger than A014233(k) would return before witness k+1
+        assert is_prime(A014233[k - 1]) is False
+
+    @pytest.mark.parametrize("bound", [41 * 41, *sorted(set(A014233))])
+    def test_agrees_with_sympy_around_each_bound(self, bound):
+        for n in range(bound - 201, bound + 201, 2):
+            if n >= factorlab._MR_LIMIT and (n == factorlab._MR_LIMIT or sympy.isprime(n)):
+                with pytest.raises(OverflowError):
+                    is_prime(n)
+            else:
+                assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("lo, hi", _BANDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_sympy_within_each_witness_band(self, lo, hi, data):
+        n = data.draw(st.integers(lo, hi - 1), label="n")
+        p = sympy.nextprime(n)
+        assert is_prime(n) == sympy.isprime(n)
+        if p < hi:
+            assert is_prime(p)
 
 
 class TestFactorize:

@@ -7,7 +7,9 @@ table, so the default constants and the README detect need no numpy
 either.  The package namespace imports a submodule only when one of its
 names is first used.  Records are NamedTuples, so no command loads
 dataclasses (6-9 ms with the inspect module it imports); only numpy, in
-the commands that stream angle sums past 4096, loads inspect.
+the commands that stream angle sums past 4096, loads inspect.  Only the
+library's composite-curve functions build a Fraction, so no command loads
+fractions (with the decimal and numbers modules it imports, ~3 ms).
 """
 
 import os
@@ -23,13 +25,14 @@ SRC = str(Path(rootspiral.__file__).resolve().parents[1])
 
 # Runs rootspiral.cli.main on the arguments in a fresh interpreter, then
 # lists on the last line of stderr the rootspiral submodules, numpy,
-# dataclasses and inspect, where imported, and exits with main's code.
+# dataclasses, inspect and fractions, where imported, and exits with main's code.
 RUN_CLI = """
 import sys
 from rootspiral.cli import main
 code = main(sys.argv[1:])
 print(*sorted(m for m in sys.modules
-              if m in ("numpy", "dataclasses", "inspect") or m.startswith("rootspiral.")),
+              if m in ("numpy", "dataclasses", "inspect", "fractions")
+              or m.startswith("rootspiral.")),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -125,7 +128,7 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
 )
 def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
     loaded = run_cli(tmp_path, argv)
-    assert not loaded & {"numpy", "dataclasses", "inspect"}
+    assert not loaded & {"numpy", "dataclasses", "inspect", "fractions"}
 
 
 @pytest.mark.parametrize(
@@ -145,7 +148,7 @@ def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
 def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
     loaded = run_cli(tmp_path, argv)
     assert not loaded & {f"rootspiral.{module}" for module in unused}
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "fractions"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
     assert "inspect" not in loaded or "numpy" in loaded
 
@@ -161,7 +164,7 @@ def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
     loaded = run_cli(tmp_path, argv)
     assert "numpy" in loaded  # spans reaching past the prefix table are streamed
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "fractions"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
     assert "inspect" not in loaded or "numpy" in loaded
 

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -463,12 +464,16 @@ def test_constants_record():
     assert round(spiral.C2, 12) == -2.157782996659
 
 
-def test_concurrent_table_growth():
-    def worker(n):
-        return spiral.total_angle(n)
-
-    ns = [1000, 50_000, 120_000, 7, 90_000, 121_000] * 4
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(worker, ns))
-    for n, got in zip(ns, results):
-        assert got == spiral.total_angle(n)
+def test_total_angle_from_threads_matches_serial():
+    # total_angle reads the prefix table up to n = _N0 = 4096 and the closed
+    # form from 4097 on
+    ns = [7, 1000, 4096, 4097, 50_000, 90_000, 120_000, 121_000] * 4
+    expected = [spiral.total_angle(n) for n in ns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(spiral.total_angle, ns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
