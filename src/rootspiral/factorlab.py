@@ -8,13 +8,12 @@ spacings are the observed factor periods: one root gives gap q, two roots
 give a gap pair summing to q.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
 from . import quad
 from .quad import VALUE_LIMIT, QuadPoly
+from .sieve import primes_up_to
 
 # Deterministic Miller-Rabin witness set and, aligned with it, the bound below
 # which the witnesses before each one already decide primality.  _MR_BOUNDS[k]
@@ -49,18 +48,6 @@ _RHO_BUDGET = 1 << 24
 
 class ChainNotFoundError(ValueError):
     """No admissible first step found within the search window."""
-
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [i for i, v in enumerate(sieve) if v]
 
 
 _TRIAL_PRIMES = tuple(primes_up_to(1000))

@@ -11,8 +11,6 @@ k5ref record names an arm the file defines.  A record that breaks a rule
 or holds a non-integer number raises FixtureError with its line number.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from importlib.resources import files
 from typing import NamedTuple

@@ -8,8 +8,6 @@ y = x*(a*x + b).  The square-root spiral winds about three times wider, so
 one number-spiral curve splits into three arms there (decimation by 3).
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -71,7 +69,7 @@ class OffsetCurve(NamedTuple):
     poly: QuadPoly
     is_offset: bool  # leading coefficient is a perfect square
     is_composite: bool  # offset curve with zero constant term
-    angle: Fraction | None  # rotation angle b/(2*sqrt(a)) when composite
+    angle: "Fraction | None"  # rotation angle b/(2*sqrt(a)) when composite
 
 
 def classify_offset_curve(p: QuadPoly) -> OffsetCurve:
@@ -104,7 +102,7 @@ def offset_curve_points(p: QuadPoly, count: int) -> list[tuple[float, float]]:
     return points
 
 
-def composite_params(angle_num: int, angle_den: int) -> tuple[int, int, Fraction]:
+def composite_params(angle_num: int, angle_den: int) -> "tuple[int, int, Fraction]":
     """Composite-curve coefficients (a, b) and offset for a rational angle.
 
     For angle n/d with even denominator: a = (d/2)^2, b = n, offset =

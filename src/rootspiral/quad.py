@@ -6,8 +6,6 @@ sequence equals 2a, so three consecutive values determine the polynomial
 exactly (Newton interpolation with integer arithmetic).
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple, Sequence
 
@@ -192,13 +190,13 @@ class ArmSystem(_ArmSystemFields):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, d2: int, rotation: str, arms: tuple[Arm, ...] = ()) -> ArmSystem:
+    def __new__(cls, name: str, d2: int, rotation: str, arms: tuple[Arm, ...] = ()) -> "ArmSystem":
         if rotation not in ("P", "N"):
             raise ValueError(f"rotation must be P or N, got {rotation!r}")
         return super().__new__(cls, name, d2, rotation, arms)
 
     @classmethod
-    def _make(cls, iterable) -> ArmSystem:  # also behind _replace; the inherited one skips __new__
+    def _make(cls, iterable) -> "ArmSystem":  # behind _replace too; the inherited one skips __new__
         return cls(*iterable)
 
 

@@ -5,8 +5,6 @@ derive from the same record, and the JSON form is byte-stable across runs
 (sorted keys, no timestamps).
 """
 
-from __future__ import annotations
-
 import json
 from typing import Any, NamedTuple
 

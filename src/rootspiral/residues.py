@@ -12,8 +12,6 @@ coprime-to-30 pattern of a sequence, for instance, recurs with period
 dividing 30, never up to 900.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

@@ -36,8 +36,6 @@ Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
 """
 
-from __future__ import annotations
-
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -80,7 +78,7 @@ def angle_increment(n: int) -> float:
     return math.atan(1.0 / math.sqrt(n))
 
 
-def _increments(lo: int, hi: int) -> np.ndarray:
+def _increments(lo: int, hi: int) -> "np.ndarray":
     """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64.
 
     Each step writes into the one buffer that arange allocates; the operations,

@@ -13,8 +13,8 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator
 
-from . import factorlab
 from .quad import ArmSystem, QuadPoly
+from .sieve import primes_up_to
 
 SIZE = 800.0  # canvas width and height in SVG user units
 
@@ -31,6 +31,7 @@ class _Canvas:
     def __init__(self, half_extent: float) -> None:
         self.scale = SIZE / (2.0 * half_extent)
         self.elements: list[str] = []
+        self._circle_tails: dict[tuple[float, str], str] = {}  # (r, fill) -> formatted tail
 
     def _xy(self, x: float, y: float) -> tuple[str, str]:
         # +y up in math coordinates, down in SVG
@@ -38,7 +39,10 @@ class _Canvas:
 
     def circle(self, x: float, y: float, r: float, fill: str) -> None:
         cx, cy = self._xy(x, y)
-        self.elements.append(f'<circle cx="{cx}" cy="{cy}" r="{_fmt(r)}" fill="{fill}"/>')
+        tail = self._circle_tails.get((r, fill))
+        if tail is None:
+            tail = self._circle_tails[r, fill] = f'" r="{_fmt(r)}" fill="{fill}"/>'
+        self.elements.append(f'<circle cx="{cx}" cy="{cy}{tail}')
 
     def line(self, x1: float, y1: float, x2: float, y2: float, stroke: str, width: float) -> None:
         a, b = self._xy(x1, y1)
@@ -91,7 +95,7 @@ def plot_sqrt_spiral(n: int) -> str:
     for x, y in pts:
         cv.line(0.0, 0.0, x, y, "#cccccc", 0.5)
     cv.polyline(pts, "#555555", 1.0)
-    primes = set(factorlab.primes_up_to(n))
+    primes = set(primes_up_to(n))
     for k, (x, y) in enumerate(pts, start=1):
         root = math.isqrt(k)
         if root * root == k:
@@ -106,7 +110,7 @@ def plot_number_spiral(n: int) -> str:
     from .numberspiral import ns_polar
 
     cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
-    primes = set(factorlab.primes_up_to(n))
+    primes = set(primes_up_to(n))
     for k in range(n + 1):
         pt = ns_polar(k)
         ang = 2.0 * math.pi * pt.theta_rotations
@@ -120,6 +124,7 @@ def plot_number_spiral(n: int) -> str:
 
 def plot_ulam(n: int) -> str:
     """Ulam dot plot; primes dark, corner squares tinted."""
+    from . import factorlab  # imported on use: the other plots take their primes from the sieve
     from .numberspiral import ulam_coord
 
     cv = _Canvas(math.isqrt(n) / 2.0 + 1.5)
@@ -137,7 +142,7 @@ def plot_ulam(n: int) -> str:
 def plot_arms(system: ArmSystem, n_max: int) -> str:
     """Spiral dots with one system's arms overlaid as polylines."""
     cv = _Canvas(math.sqrt(n_max) * 1.05 + 1.0)
-    primes = set(factorlab.primes_up_to(n_max))
+    primes = set(primes_up_to(n_max))
     for k, (x, y) in enumerate(_sqrt_xy(range(1, n_max + 1)), start=1):
         if k in primes:
             cv.circle(x, y, 2.2, "#d4a800")

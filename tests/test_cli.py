@@ -3,15 +3,41 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rootspiral
 from rootspiral import spiral
-from rootspiral.cli import _first_reaching, build_parser, main
+from rootspiral.cli import build_parser, main
+from rootspiral.commands.density import _first_reaching
 from rootspiral.fixtures import fixture_text
 from rootspiral.quad import QuadPoly
 
 A1_RECORD = "arm\tP18-A\tA1\tP\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
+# A1 with rotation Q, a malformed record on line 2
+MALFORMED_FIXTURE = "# header\n" + A1_RECORD.replace("\tP\t", "\tQ\t", 1)
+SRC = str(Path(rootspiral.__file__).resolve().parents[1])
+
+# the commands that read the fixture set, and those that never parse it
+FIXTURE_COMMANDS = [
+    ("verify-tables",),
+    ("factors", "B3"),
+    ("density", "B3"),
+    ("residues", "B3"),
+    ("plot", "arms", "--system", "P18-A", "--n", "50"),
+    ("plot", "fig7", "--n", "50"),
+]
+FIXTURE_FREE_COMMANDS = [
+    ("constants",),
+    ("detect", "--seed-n", "17", "--d2", "18"),
+    ("plot", "sqrt-spiral", "--n", "50"),
+    ("plot", "ulam", "--n", "50"),
+    ("plot", "number-spiral", "--n", "50"),
+]
 
 
 def run(capsys, *argv):
@@ -481,6 +507,52 @@ class TestUsageErrors:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("fixture error: ")
+
+    @pytest.mark.parametrize("argv", FIXTURE_COMMANDS, ids=" ".join)
+    def test_malformed_fixture_file_exits_2_for_every_command_reading_it(
+        self, capsys, tmp_path, argv
+    ):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(MALFORMED_FIXTURE, encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["--fixture-file", str(bad), *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("fixture error: line 2: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", FIXTURE_FREE_COMMANDS, ids=" ".join)
+    def test_commands_without_fixtures_ignore_the_fixture_file(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(MALFORMED_FIXTURE, encoding="utf-8")
+        out = tmp_path / "out"
+        results = []
+        for fixture_args in ((), ("--fixture-file", str(bad))):
+            code = main([*fixture_args, *argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, out.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and results[0][2] == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("factors", "NOPE"), "error: not an arm or polynomial: unknown arm 'NOPE'; "),
+            (("--fixture-file", "bad.tsv", "factors", "B3"), "fixture error: line 2: "),
+        ],
+        ids=["usage error in a handler", "malformed fixture file"],
+    )
+    def test_python_m_errors_exit_2_with_one_line(self, tmp_path, argv, message):
+        # main runs as __main__ here, so a handler module that imported
+        # rootspiral.cli would raise a second SystemExit2 that main misses
+        (tmp_path / "bad.tsv").write_text(MALFORMED_FIXTURE, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rootspiral.cli", *argv], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message)
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -1,5 +1,10 @@
 """Process floor: each command loads only the modules it uses.
 
+A process imports the parser and the one handler module of its command,
+rootspiral.commands.<name>, and only the commands that read the fixture
+set parse it.  The sqrt-spiral, arms and number-spiral plots take their
+primes from the sieve module, without factorlab.
+
 Commands that stream no angle sum run without numpy: placing a point on the
 spiral reads its angle from a closed form, locating the next wind bisects
 closed-form spans, and a direct sum below 4096 reads the exact prefix
@@ -24,18 +29,40 @@ import rootspiral
 SRC = str(Path(rootspiral.__file__).resolve().parents[1])
 
 # Runs rootspiral.cli.main on the arguments in a fresh interpreter, then
-# lists on the last line of stderr the rootspiral submodules, numpy,
-# dataclasses, inspect and fractions, where imported, and exits with main's code.
+# lists on the second-to-last line of stderr the rootspiral submodules, numpy,
+# dataclasses, inspect and fractions, where imported, prints on the last line
+# how many fixture sets were parsed, and exits with main's code.
 RUN_CLI = """
 import sys
 from rootspiral.cli import main
+from rootspiral.fixtures import load_fixtures
 code = main(sys.argv[1:])
 print(*sorted(m for m in sys.modules
               if m in ("numpy", "dataclasses", "inspect", "fractions")
               or m.startswith("rootspiral.")),
       file=sys.stderr)
+print(load_fixtures.cache_info().misses, file=sys.stderr)
 sys.exit(code)
 """
+
+# Every command shape; the README commands and the other three plots.
+COMMANDS = [
+    ("constants",),
+    ("detect", "--seed-n", "17", "--d2", "18", "--length", "6"),
+    ("verify-tables", "--which", "all"),
+    ("factors", "B3", "--bound", "61"),
+    ("factors", "Q3", "--compare", "S1"),
+    ("factors", "K5", "--window", "1..6"),
+    ("density", "B3", "--at", "2.5e9"),
+    ("residues", "Q3"),
+    ("plot", "ulam", "--n", "2000", "--out", "ulam.svg"),
+    ("plot", "number-spiral", "--n", "500", "--out", "number-spiral.svg"),
+    ("plot", "sqrt-spiral", "--n", "5000", "--out", "sqrt-spiral.svg"),
+    ("plot", "arms", "--system", "P18-A", "--n", "5000", "--out", "arms.svg"),
+    ("plot", "fig7", "--n", "5000", "--out", "fig7.svg"),
+]
+# The commands that never read the fixture set.
+FIXTURE_FREE = {"constants", "detect", "sqrt-spiral", "ulam", "number-spiral"}
 
 # The names rootspiral exports, each checked against the module that defines it.
 PUBLIC = """
@@ -70,11 +97,13 @@ def run_python(script, *args, cwd):
                           capture_output=True, text=True, timeout=120)
 
 
-def run_cli(tmp_path, argv) -> set[str]:
-    """The modules RUN_CLI lists after a successful run of the command."""
+def run_cli(tmp_path, argv) -> tuple[set[str], int]:
+    """The modules RUN_CLI lists after a successful run of the command, and
+    the number of fixture sets it parsed."""
     proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.splitlines()[-1].split())
+    *_, modules, parses = proc.stderr.splitlines()
+    return set(modules.split()), int(parses)
 
 
 def test_import_and_fixture_load_leave_numpy_out(tmp_path):
@@ -95,6 +124,8 @@ def test_closed_form_angles_leave_numpy_out(tmp_path):
 
 
 def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
+    # the parser, the shared handler helpers and the fixture loader; no handler
+    # and no report until main runs a command
     script = (
         "import sys, rootspiral.cli; rootspiral.cli.load_fixtures();"
         " print(*sorted(m for m in sys.modules if m.startswith('rootspiral.')"
@@ -103,32 +134,25 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
     proc = run_python(script, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "rootspiral.cli", "rootspiral.fixtures", "rootspiral.quad", "rootspiral.report"
+        "rootspiral.cli", "rootspiral.commands", "rootspiral.fixtures", "rootspiral.quad"
     ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("constants",),
-        ("detect", "--seed-n", "17", "--d2", "18", "--length", "6"),
-        ("verify-tables", "--which", "all"),
-        ("factors", "B3", "--bound", "61"),
-        ("factors", "Q3", "--compare", "S1"),
-        ("factors", "K5", "--window", "1..6"),
-        ("density", "B3", "--at", "2.5e9"),
-        ("residues", "Q3"),
-        ("plot", "ulam", "--n", "2000", "--out", "ulam.svg"),
-        ("plot", "number-spiral", "--n", "500", "--out", "number-spiral.svg"),
-        ("plot", "sqrt-spiral", "--n", "5000", "--out", "sqrt-spiral.svg"),
-        ("plot", "arms", "--system", "P18-A", "--n", "5000", "--out", "arms.svg"),
-        ("plot", "fig7", "--n", "5000", "--out", "fig7.svg"),
-    ],
-    ids=" ".join,
-)
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
-    loaded = run_cli(tmp_path, argv)
+    loaded, _ = run_cli(tmp_path, argv)
     assert not loaded & {"numpy", "dataclasses", "inspect", "fractions"}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_each_command_loads_one_handler_and_parses_fixtures_only_if_it_reads_them(
+    tmp_path, argv
+):
+    loaded, parses = run_cli(tmp_path, argv)
+    handlers = {m for m in loaded if m.startswith("rootspiral.commands.")}
+    assert handlers == {f"rootspiral.commands.{argv[0].replace('-', '_')}"}
+    kind = argv[1] if argv[0] == "plot" else argv[0]
+    assert parses == (0 if kind in FIXTURE_FREE else 1)
 
 
 @pytest.mark.parametrize(
@@ -146,11 +170,19 @@ def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
     ids=" ".join,
 )
 def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
-    loaded = run_cli(tmp_path, argv)
+    loaded, _ = run_cli(tmp_path, argv)
     assert not loaded & {f"rootspiral.{module}" for module in unused}
     assert not loaded & {"dataclasses", "fractions"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
     assert "inspect" not in loaded or "numpy" in loaded
+
+
+@pytest.mark.parametrize("what", ["sqrt-spiral", "arms", "number-spiral"])
+def test_sieve_plots_leave_factorlab_out(tmp_path, what):
+    # they mark primes from rootspiral.sieve; only plot ulam tests each index
+    loaded, _ = run_cli(tmp_path, ("plot", what, "--system", "P18-A", "--out", f"{what}.svg"))
+    assert "rootspiral.sieve" in loaded
+    assert "rootspiral.factorlab" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -162,7 +194,7 @@ def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
     ids=" ".join,
 )
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
-    loaded = run_cli(tmp_path, argv)
+    loaded, _ = run_cli(tmp_path, argv)
     assert "numpy" in loaded  # spans reaching past the prefix table are streamed
     assert not loaded & {"dataclasses", "fractions"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
