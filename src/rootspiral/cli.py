@@ -5,12 +5,12 @@ plot.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
 configuration error.  All output is deterministic; --json switches every
 subcommand to the machine rendering.
 
-Each subcommand's handler is its own module, rootspiral.commands.<name>,
-which main imports for the command it runs; each handler imports the
-library modules it uses, and only the handlers that read the fixture set
-parse it.  So a process compiles the parser plus one handler, which counts
-when no bytecode cache is written (PYTHONDONTWRITEBYTECODE or a read-only
-install).
+Each subcommand's handler is its own module, rootspiral.commands.<name>
+with - as _, which main imports for the command it runs; each handler
+imports the library modules it uses, and only the handlers that read the
+fixture set parse it.  So a process compiles the parser plus one handler,
+which counts when no bytecode cache is written (PYTHONDONTWRITEBYTECODE or
+a read-only install).
 """
 
 from __future__ import annotations
@@ -20,22 +20,13 @@ import importlib
 import sys
 from pathlib import Path
 
-from .commands import C2_VERDICT_K, FixtureUnavailable, SystemExit2, window_bounds
+from .commands import C2_VERDICT_K, SystemExit2, window_bounds
 
 # load_fixtures stays importable from here: perfbench times the set-up as
 # `import rootspiral.cli` plus rootspiral.cli.load_fixtures()
-from .fixtures import MAX_SCAN, TABLE_PREFIXES, WINDOW_LABELS, FixtureLookupError, load_fixtures
-
-# subcommand -> its handler module under rootspiral.commands
-_HANDLERS = {
-    "constants": "constants",
-    "verify-tables": "verify_tables",
-    "factors": "factors",
-    "density": "density",
-    "residues": "residues",
-    "detect": "detect",
-    "plot": "plot",
-}
+from .fixtures import (
+    MAX_SCAN, TABLE_PREFIXES, WINDOW_LABELS, FixtureError, FixtureLookupError, load_fixtures
+)
 
 
 def _int_at_least(lowest: int, highest: int):
@@ -139,15 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler = importlib.import_module(f"rootspiral.commands.{_HANDLERS[args.cmd]}")
+    handler = importlib.import_module(f"rootspiral.commands.{args.cmd.replace('-', '_')}")
     try:
         report = handler.run(args)
     except (SystemExit2, OverflowError) as exc:  # overflow: an input outside the exact range
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # an unreadable fixture file, or one without a record the command needs
-    # (e.g. plot fig7 on a fixture file without K5)
-    except (FixtureUnavailable, FixtureLookupError) as exc:
+    # an unreadable or malformed fixture file, or one without a record the
+    # command needs (e.g. plot fig7 on a fixture file without K5)
+    except (FixtureError, FixtureLookupError) as exc:
         print(f"fixture error: {exc.args[0]}", file=sys.stderr)
         return 2
     rendered = report.to_json() if args.json else report.to_text()

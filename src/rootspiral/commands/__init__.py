@@ -1,16 +1,19 @@
 """Subcommand handlers, one module per command, and the helpers they share.
 
-Each handler module defines ``run(args) -> Report``.  rootspiral.cli
-imports only the handler of the command it runs, so a process compiles the
-parser plus one handler.  Handlers import what they share from here, never
-from rootspiral.cli: under ``python -m rootspiral.cli`` that module runs as
-__main__, so importing it would compile it a second time and define a
-second SystemExit2, which main does not catch.
+Each handler module is named after its subcommand, with - as _, and
+defines ``run(args) -> Report``.  rootspiral.cli imports only the handler
+of the command it runs, so a process compiles the parser plus one handler.
+Only the handlers that read the fixture set call
+``load_fixtures(args.fixture_file)``; main reports its FixtureError.
+Handlers import what they share from here, never from rootspiral.cli:
+under ``python -m rootspiral.cli`` that module runs as __main__, so
+importing it would compile it a second time and define a second
+SystemExit2, which main does not catch.
 """
 
 import argparse
 
-from ..fixtures import FixtureError, FixtureLookupError, FixtureSet, load_fixtures
+from ..fixtures import FixtureLookupError, FixtureSet
 from ..quad import QuadPoly
 
 # constants --k default and the least k given a c2 verdict: the end of
@@ -20,22 +23,6 @@ C2_VERDICT_K = 4096
 
 class SystemExit2(Exception):
     """Usage/configuration error: exits with status 2."""
-
-
-class FixtureUnavailable(Exception):
-    """The fixture file cannot be read or parsed: exits 2 with a 'fixture error:' line."""
-
-
-def fixture_set(args: argparse.Namespace) -> FixtureSet:
-    """The fixture set of --fixture-file, or the bundled one.
-
-    Only the handlers that read the fixture set call this, so the other
-    commands never parse it.
-    """
-    try:
-        return load_fixtures(args.fixture_file)
-    except (FixtureError, OSError, UnicodeDecodeError) as exc:
-        raise FixtureUnavailable(str(exc)) from None
 
 
 def window_bounds(text: str) -> tuple[int, int]:

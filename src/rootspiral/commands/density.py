@@ -4,9 +4,10 @@ import argparse
 import bisect
 
 from .. import factorlab, residues
+from ..fixtures import load_fixtures
 from ..quad import QuadPoly
 from ..report import Report
-from . import SystemExit2, fixture_set, resolve_poly
+from . import SystemExit2, resolve_poly
 
 DENSITY_CSV_HEADER = "index,value,is_prime,factors,sd,first_diff,second_diff"
 
@@ -37,7 +38,7 @@ def _density_csv(dens: factorlab.DensityReport, poly: QuadPoly) -> str:
 
 
 def run(args: argparse.Namespace) -> Report:
-    fx = fixture_set(args)
+    fx = load_fixtures(args.fixture_file)
     name, poly = resolve_poly(fx, args.arm)
     report = Report(
         command="density", inputs={"arm": name, "at": args.at, "len": args.len}
@@ -50,9 +51,10 @@ def run(args: argparse.Namespace) -> Report:
     elif args.at == "start":
         x0, default_len = 1, 8
     else:
-        x0, default_len = _first_reaching(poly, int(float(args.at)), 10**8), 8
+        # bisect takes a range of fewer than 2^63 elements
+        x0, default_len = _first_reaching(poly, int(float(args.at)), 2**62), 8
         if x0 is None:
-            raise SystemExit2(f"{name} never reaches {args.at}")
+            raise SystemExit2(f"{name} never reaches {args.at} for x <= 2^62")
     dens = factorlab.density_scan(poly, x0, x0 + (args.len or default_len))
     report.data["csv"] = _density_csv(dens, poly)
     report.data["prime_share"] = round(dens.prime_share, 6)

@@ -3,12 +3,13 @@
 import argparse
 
 from .. import factorlab
+from ..fixtures import load_fixtures
 from ..report import Report
-from . import fixture_set, resolve_poly, window_bounds
+from . import resolve_poly, window_bounds
 
 
 def run(args: argparse.Namespace) -> Report:
-    fx = fixture_set(args)
+    fx = load_fixtures(args.fixture_file)
     name, poly = resolve_poly(fx, args.arm)
     report = Report(
         command="factors",

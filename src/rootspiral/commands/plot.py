@@ -5,14 +5,15 @@ import hashlib
 from pathlib import Path
 
 from .. import svgplot
+from ..fixtures import load_fixtures
 from ..report import Report
-from . import SystemExit2, fixture_set
+from . import SystemExit2
 
 
 def run(args: argparse.Namespace) -> Report:
     # only arms and fig7 draw fixture arms; the fixture set is parsed before
     # any argument check, so a bad fixture file is the error reported first
-    fx = fixture_set(args) if args.what in ("arms", "fig7") else None
+    fx = load_fixtures(args.fixture_file) if args.what in ("arms", "fig7") else None
     report = Report(command="plot", inputs={"what": args.what, "n": args.n})
     if args.what == "sqrt-spiral":
         svg = svgplot.plot_sqrt_spiral(args.n)

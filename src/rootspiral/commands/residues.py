@@ -3,17 +3,18 @@
 import argparse
 
 from .. import residues
+from ..fixtures import load_fixtures
 from ..report import Report
-from . import fixture_set, resolve_poly
+from . import resolve_poly
 
 
 def run(args: argparse.Namespace) -> Report:
-    name, poly = resolve_poly(fixture_set(args), args.arm)
+    name, poly = resolve_poly(load_fixtures(args.fixture_file), args.arm)
     report = Report(command="residues", inputs={"arm": name, "terms": args.terms})
     cyc = residues.residue_cycle(poly, 10)
     report.data["ending_cycle"] = list(cyc.cycle)
     report.data["ending_period"] = cyc.period
-    report.data["ending_alphabet"] = sorted(residues.ending_alphabet(poly))
+    report.data["ending_alphabet"] = sorted(set(cyc.cycle))
     if any(poly(t) < 0 for t in range(1, args.terms + 1)):  # digit sums undefined below 0
         report.data["sd_ordered"], report.data["sd_pattern"] = [], "n/a"
     else:

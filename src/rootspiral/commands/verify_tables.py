@@ -3,10 +3,10 @@
 import argparse
 
 from .. import residues
-from ..fixtures import TABLE_PREFIXES, FixtureSet
+from ..fixtures import TABLE_PREFIXES, FixtureSet, load_fixtures
 from ..quad import ArmSystem, coefficient_rules_check
 from ..report import Report
-from . import SystemExit2, fixture_set
+from . import SystemExit2
 
 
 def _verify_system(report: Report, system: ArmSystem) -> int:
@@ -50,7 +50,7 @@ def _check_euler_split(report: Report, fx: FixtureSet) -> None:
 
 
 def run(args: argparse.Namespace) -> Report:
-    fx = fixture_set(args)
+    fx = load_fixtures(args.fixture_file)
     report = Report(command="verify-tables", inputs={"which": args.which})
     tables = tuple(TABLE_PREFIXES) if args.which == "all" else (args.which,)
     for which in tables:

@@ -285,15 +285,16 @@ class SplitComparison(NamedTuple):
 def same_splitting(pa: QuadPoly, pb: QuadPoly, bound: int) -> SplitComparison:
     """Do two polynomials admit the same primes with the same gap multisets?
 
-    Compares, for every prime q <= bound, admissibility and the gap
-    multiset of the root classes; phases (actual root positions) are not
+    Compares, for every prime q <= bound, the gap multisets of the root
+    classes, which are empty exactly when f has no root mod q, so they
+    decide admissibility too; phases (actual root positions) are not
     compared.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     for q in primes_up_to(bound):
         ra, rb = root_classes(pa, q), root_classes(pb, q)
-        if (len(ra.roots) == 0) != (len(rb.roots) == 0) or ra.gaps != rb.gaps:
+        if ra.gaps != rb.gaps:
             return SplitComparison(equal=False, witness=q)
     return SplitComparison(equal=True, witness=None)
 

@@ -8,7 +8,8 @@ Each arm record is checked as it is read: rotation P or N, a = d2/2, six
 terms, fit 1 reproducing every term, and no second record for the same
 SYSTEM/ARM; each window is at most MAX_SCAN terms long, and each window and
 k5ref record names an arm the file defines.  A record that breaks a rule
-or holds a non-integer number raises FixtureError with its line number.
+or holds a non-integer number raises FixtureError with its line number; a
+file that cannot be read or decoded raises FixtureError without one.
 """
 
 from functools import lru_cache
@@ -98,10 +99,11 @@ class FixtureSet(NamedTuple):
 
 
 class FixtureError(ValueError):
-    """Malformed fixture record; carries the offending line number."""
+    """A malformed record, at line lineno; or, with lineno None and the OS or
+    codec message, a file the loader cannot read or decode."""
 
-    def __init__(self, lineno: int, message: str) -> None:
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int | None, message: str) -> None:
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -203,8 +205,15 @@ def fixture_text() -> str:
 
 @lru_cache(maxsize=4)
 def load_fixtures(path: str | None = None) -> FixtureSet:
-    """The shipped fixture set, or one parsed from an alternate file."""
+    """The shipped fixture set, or one parsed from an alternate file.
+
+    Raises FixtureError for a malformed record or an unreadable file.
+    """
     if path is None:
         return parse_fixtures(fixture_text())
-    with open(path, encoding="utf-8") as fh:
-        return parse_fixtures(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FixtureError(None, str(exc)) from exc
+    return parse_fixtures(text)

@@ -114,11 +114,6 @@ def _table_span(n1: int, n2: int) -> float:
     return (_UNITS[n2 - 1] - _UNITS[n1 - 1]) / 2**64
 
 
-def _block_sum(lo: int, hi: int) -> float:
-    """numpy's float64 sum of the increments for k in [lo, hi), one block at most."""
-    return float(_increments(lo, hi).sum())
-
-
 def _series(n: int) -> float:
     """The expansion's tail sum_j a_j n^{-(2j-1)/2} = total_angle(n) - 2 sqrt(n) - C."""
     x = 1.0 / n
@@ -191,7 +186,8 @@ def angle_between(n1: int, n2: int) -> float:
     if not 1 <= n1 <= n2:
         raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
     head = _table_span(n1, min(n2, _N0)) if n1 < _N0 else 0.0
-    tail = (_block_sum(a, min(a + _BLOCK, n2)) for a in range(max(n1, _N0), n2, _BLOCK))
+    tail = (float(_increments(a, min(a + _BLOCK, n2)).sum())
+            for a in range(max(n1, _N0), n2, _BLOCK))
     return math.fsum([head, *tail])
 
 

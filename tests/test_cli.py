@@ -238,6 +238,15 @@ class TestDensity:
         assert code == 0
         assert json.loads(out)["data"]["csv"].splitlines()[1].startswith("1,4999999,")
 
+    def test_target_past_10_to_the_8_is_searched(self, capsys):
+        code, out = run(capsys, "--json", "density", "0,1,0", "--at", "2.5e9")
+        assert code == 0
+        assert json.loads(out)["data"]["csv"].splitlines()[1].startswith("2500000000,2500000000,")
+
+    def test_target_never_reached_names_the_searched_bound(self, capsys):
+        assert main(["density", "0,0,5", "--at", "2.5e6"]) == 2
+        assert capsys.readouterr().err == "error: 0,0,5 never reaches 2.5e6 for x <= 2^62\n"
+
     def test_first_reaching_matches_linear_search(self):
         limit = 40
         for a, b, c, target in itertools.product(
@@ -498,6 +507,16 @@ class TestUsageErrors:
         assert captured.err == (
             "fixture error: line 2: k5ref names arm P18-X/B3, which is not defined\n"
         )
+
+    @pytest.mark.parametrize("argv", FIXTURE_COMMANDS, ids=" ".join)
+    def test_missing_fixture_file_exits_2_for_every_command_reading_it(
+        self, capsys, tmp_path, argv
+    ):
+        missing, out = str(tmp_path / "missing.tsv"), tmp_path / "out"
+        code = main(["--fixture-file", missing, *argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"fixture error: [Errno 2] No such file or directory: {missing!r}\n"
 
     def test_non_utf8_fixture_file_exits_2(self, capsys, tmp_path):
         binary = tmp_path / "binary.tsv"

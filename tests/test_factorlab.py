@@ -328,6 +328,10 @@ class TestSameSplitting:
     def test_reflexive(self):
         assert same_splitting(Q3, Q3, 50).equal
 
+    def test_admissibility_alone_differs_at_3(self):
+        # both have the one root 1 mod 2; mod 3 only x^2 - 1 has roots
+        assert same_splitting(QuadPoly(1, 0, -1), QuadPoly(1, 0, 1), 10) == (False, 3)
+
 
 class TestDensityScan:
     def test_empty_window(self):

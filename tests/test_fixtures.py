@@ -134,6 +134,21 @@ class TestFindArm:
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("missing.tsv", "[Errno 2] No such file or directory"),
+            (".", "[Errno 21] Is a directory"),
+        ],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_file_raises_without_a_line(self, tmp_path, name, message):
+        path = str(tmp_path / name)
+        with pytest.raises(FixtureError) as exc:
+            load_fixtures(path)
+        assert exc.value.lineno is None
+        assert str(exc.value) == f"{message}: {path!r}"
+
     def test_bad_integer_reports_line(self):
         bad = "arm\tP18-A\tA1\tP\t18\t9\t3\tx\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
         with pytest.raises(FixtureError, match="line 1"):
