@@ -33,12 +33,13 @@ def run(args: argparse.Namespace) -> Report:
         _, k5 = fx.find_arm("K5")
         svg = svgplot.plot_fig7(args.n, k5.poly)
     out = Path(args.out) if args.out else Path(f"rootspiral-{args.what}.svg")
+    data = svg.encode("utf-8")
     try:
-        out.write_text(svg, encoding="utf-8")
+        out.write_bytes(data)
     except OSError as exc:
         raise SystemExit2(f"cannot write {out}: {exc}") from None
     report.data["path"] = str(out)
-    report.data["bytes"] = len(svg.encode("utf-8"))
-    report.data["sha256"] = hashlib.sha256(svg.encode("utf-8")).hexdigest()
+    report.data["bytes"] = len(data)
+    report.data["sha256"] = hashlib.sha256(data).hexdigest()
     report.add("plot", True, f"wrote {out}")
     return report

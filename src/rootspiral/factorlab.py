@@ -178,8 +178,6 @@ def mod_sqrt(a: int, p: int) -> int | None:
     a %= p
     if a == 0:
         return 0
-    if p == 2:
-        return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     if p % 4 == 3:
@@ -212,31 +210,40 @@ class RootClasses(NamedTuple):
     gaps: tuple[int, ...]
 
 
+def _solve(p: QuadPoly, q: int) -> list[int]:
+    """The sorted roots of f mod prime q, solved without a scan.
+
+    q | a leaves the linear equation bt + c (every residue, or none, when q
+    | b too); q = 2 checks t = 0 and 1, since 2a has no inverse mod 2;
+    otherwise the roots are the two square roots of the discriminant over 2a.
+    """
+    if p.a % q == 0:
+        if p.b % q == 0:
+            return list(range(q)) if p.c % q == 0 else []
+        return [(-p.c * pow(p.b, -1, q)) % q]
+    if q == 2:
+        return [t for t in (0, 1) if p(t) % 2 == 0]
+    s = mod_sqrt(p.discriminant, q)
+    if s is None:
+        return []
+    inv2a = pow(2 * p.a, -1, q)
+    return sorted({(-p.b + s) * inv2a % q, (-p.b - s) * inv2a % q})
+
+
 def root_classes(p: QuadPoly, q: int) -> RootClasses:
     """Solve a*t^2 + b*t + c = 0 (mod q) for prime q.
 
-    Small moduli are brute forced; large ones go through Tonelli-Shanks on
-    the discriminant.  One root recurs with gap q; two roots r1 < r2 recur
-    with alternating gaps (r2-r1, q-(r2-r1)).
+    Moduli below 10 000 are scanned; larger ones are solved by _solve.  One
+    root recurs with gap q; two roots r1 < r2 recur with alternating gaps
+    (r2-r1, q-(r2-r1)).
     """
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     if q < 10_000:
         f = p.__call__  # bound once: calling the record p looks up __call__ on every call
         roots = [t for t in range(q) if f(t) % q == 0]
-    elif p.a % q == 0:
-        if p.b % q == 0:
-            roots = list(range(q)) if p.c % q == 0 else []
-        else:
-            roots = [(-p.c * pow(p.b, -1, q)) % q]
     else:
-        disc = p.discriminant % q
-        s = mod_sqrt(disc, q)
-        if s is None:
-            roots = []
-        else:
-            inv2a = pow(2 * p.a, -1, q)
-            roots = sorted({(-p.b + s) * inv2a % q, (-p.b - s) * inv2a % q})
+        roots = _solve(p, q)
     if len(roots) == q:  # degenerate: q divides all three coefficients
         gaps: tuple[int, ...] = (1,)
     elif not roots:
@@ -259,22 +266,11 @@ class AdmissiblePrimes(NamedTuple):
 
 
 def admissible_primes(p: QuadPoly, bound: int) -> AdmissiblePrimes:
-    """Every prime q <= bound with a root of f mod q.
-
-    For q not dividing 2a, f has a root mod q exactly when the discriminant
-    has a square root mod q (mod_sqrt); q = 2 and q | a fall back to
-    root_classes.
-    """
+    """Every prime q <= bound with a root of f mod q, as _solve finds them."""
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    hits = []
-    for q in primes_up_to(bound):
-        if q > 2 and (2 * p.a) % q != 0:
-            if mod_sqrt(p.discriminant, q) is not None:
-                hits.append(q)
-        elif root_classes(p, q).roots:
-            hits.append(q)
-    return AdmissiblePrimes(poly=p, bound=bound, primes=tuple(hits), discriminant=p.discriminant)
+    primes = tuple(q for q in primes_up_to(bound) if _solve(p, q))
+    return AdmissiblePrimes(poly=p, bound=bound, primes=primes, discriminant=p.discriminant)
 
 
 class SplitComparison(NamedTuple):

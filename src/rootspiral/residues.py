@@ -40,14 +40,12 @@ def residue_cycle(p: QuadPoly, k: int) -> ResidueCycle:
     """
     if k < 1:
         raise ValueError(f"modulus must be >= 1, got {k}")
-    for d in sorted(i for i in range(1, k + 1) if k % i == 0):
-        # f(t+d) - f(t) = 2ad*t + ad^2 + bd vanishes mod k for all t iff
-        # both coefficients do.
-        if (2 * p.a * d) % k == 0 and (p.a * d * d + p.b * d) % k == 0:
-            period = d
-            break
-    else:  # pragma: no cover - d = k always satisfies the congruence
-        period = k
+    # f(t+d) - f(t) = 2ad*t + ad^2 + bd vanishes mod k for all t iff both
+    # coefficients do.
+    period = next(
+        d for d in range(1, k + 1)
+        if k % d == 0 and (2 * p.a * d) % k == 0 and (p.a * d * d + p.b * d) % k == 0
+    )
     cycle = tuple(p(t) % k for t in range(1, period + 1))
     return ResidueCycle(modulus=k, period=period, cycle=cycle)
 

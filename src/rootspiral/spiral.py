@@ -133,12 +133,15 @@ def total_angle(n: int) -> float:
     is carried as a two-sum, so for n <= 2^53 the result is within
     0.5 + 1e-4 ulp of the true sum (measured against 45-digit mpmath; the
     excess is below 0.3/n ulp up to n = 1e12): correctly rounded unless the
-    sum lies that close to a rounding midpoint.
+    sum lies that close to a rounding midpoint.  Above 2^53, where floats
+    no longer hold every integer, it raises OverflowError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n <= _N0:
         return _UNITS[n - 1] / 2**64
+    if n > 1 << 53:
+        raise OverflowError(f"total_angle is exact only up to 2^53, got {n}")
     s = math.sqrt(n)
     # s*s == sq + err exactly: 2^27 + 1 splits s into two 26-bit halves
     c = 134217729.0 * s
@@ -211,7 +214,7 @@ def estimate_c2(k: int, accelerate: bool = True) -> float:
 
 
 def polar_of(n: int) -> SpiralPoint:
-    """Exact polar placement of n: radius sqrt(n), cumulative angle, wind."""
+    """Exact polar placement of n <= 2^53: radius sqrt(n), cumulative angle, wind."""
     phi = total_angle(n)
     return SpiralPoint(n=n, radius=math.sqrt(n), angle_total=phi, wind=int(phi // TWO_PI))
 

@@ -349,11 +349,13 @@ class TestPlot:
 
     def test_number_spiral(self, capsys, tmp_path):
         out = tmp_path / "ns.svg"
-        assert main(["plot", "number-spiral", "--n", "500", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d5d4bfce19399d804fe0442b30c973d78183fc9a5f885018c956643eec74af95"
-        )
+        code, text = run(capsys, "plot", "number-spiral", "--n", "500", "--out", str(out), "--json")
+        assert code == 0
+        sha = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert sha == "d5d4bfce19399d804fe0442b30c973d78183fc9a5f885018c956643eec74af95"
+        # the report describes the bytes on disk
+        data = json.loads(text)["data"]
+        assert (data["bytes"], data["sha256"]) == (len(out.read_bytes()), sha)
 
     def test_arms_requires_system(self, capsys, tmp_path):
         code = main(["plot", "arms", "--n", "500", "--out", str(tmp_path / "x.svg")])

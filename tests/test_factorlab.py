@@ -208,6 +208,10 @@ class TestModSqrt:
     def test_non_residue(self):
         assert mod_sqrt(5, 10007) is None or pow(5, 5003, 10007) == 1
 
+    def test_mod_2_is_the_residue(self):
+        for a in range(-4, 5):
+            assert mod_sqrt(a, 2) == a % 2
+
 
 class TestRootClasses:
     def test_b3_mod_13_single_class(self):
@@ -243,11 +247,15 @@ class TestRootClasses:
         assert set(np.diff(hits).tolist()) == {14, 27}
 
     def test_tonelli_branch_matches_brute(self):
-        for q in (10007, 10037, 100003):
-            rc = root_classes(B3, q)
-            t = np.arange(q, dtype=np.int64)
-            brute = np.nonzero((9 * t * t + 9 * t - 1) % q == 0)[0].tolist()
-            assert sorted(rc.roots) == brute
+        # 10007t^2 + 9t - 1 is linear mod 10007; 10007(t^2 + 2t + 3) vanishes there
+        for poly in (B3, QuadPoly(10007, 9, -1), QuadPoly(10007, 20014, 30021)):
+            for q in (10007, 10037, 100003):
+                rc = root_classes(poly, q)
+                t = np.arange(q, dtype=np.int64)
+                brute = np.nonzero((poly.a * t * t + poly.b * t + poly.c) % q == 0)[0].tolist()
+                assert sorted(rc.roots) == brute, (poly, q)
+        assert root_classes(QuadPoly(10007, 9, -1), 10007).gaps == (10007,)
+        assert root_classes(QuadPoly(10007, 20014, 30021), 10007).gaps == (1,)
 
     def test_requires_prime(self):
         with pytest.raises(ValueError):
@@ -295,7 +303,10 @@ class TestAdmissiblePrimes:
         assert Q3(29) == 8383 == 83 * 101
 
     def test_matches_brute_force(self):
-        for poly in (B3, Q3, K5, S1, B33, G1):
+        # the literals cover q = 2 with a odd and even, q | a, and q | a, b, c
+        literals = [QuadPoly(*abc) for abc in ((0, 0, 0), (6, 6, 6), (2, 0, 0), (3, 0, 7),
+                                                (0, 3, 5), (0, 0, 5))]
+        for poly in (B3, Q3, K5, S1, B33, G1, *literals):
             expected = tuple(q for q in primes_up_to(300) if brute_roots(poly, q))
             assert admissible_primes(poly, 300).primes == expected
 

@@ -226,6 +226,13 @@ class TestTotalAngle:
             assert type(spiral.total_angle(n)) is float
         assert type(spiral.polar_of(1000).angle_total) is float
 
+    def test_exact_range_ends_at_2_53(self):
+        assert spiral.total_angle(2**53) == pytest.approx(2 * 2**26.5 + spiral.C2, rel=1e-15)
+        assert spiral.polar_of(2**53).angle_total == spiral.total_angle(2**53)
+        for f in (spiral.total_angle, spiral.polar_of):
+            with pytest.raises(OverflowError, match="2\\^53"):
+                f(2**53 + 1)
+
     def test_streamed_matches_table(self):
         n = 50_000
         table_value = spiral.total_angle(n)
