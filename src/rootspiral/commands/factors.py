@@ -16,7 +16,7 @@ def run(args: argparse.Namespace) -> Report:
         inputs={"arm": name, "poly": str(poly), "bound": args.bound, "window": args.window},
     )
     adm = factorlab.admissible_primes(poly, args.bound)
-    report.data["discriminant"] = adm.discriminant
+    report.data["discriminant"] = poly.discriminant
     report.data["admissible"] = list(adm.primes)
     rows = ["prime,roots,gaps"]
     for q in adm.primes:

@@ -99,8 +99,6 @@ def _pollard_brent(n: int) -> int:
     reproducible run to run.  Raises ArithmeticError instead of taking more
     than _RHO_BUDGET steps, which only a factor far above 2^31.5 needs.
     """
-    if n % 2 == 0:
-        return 2
     steps = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -173,8 +171,14 @@ def factorize(n: int) -> Factorization:
     return Factorization(n=n, factors=tuple(sorted(found.items())))
 
 
-def mod_sqrt(a: int, p: int) -> int | None:
-    """A square root of a mod prime p (Tonelli-Shanks), or None."""
+def _mod_sqrt(a: int, p: int) -> int | None:
+    """A square root of a mod prime p (Tonelli-Shanks), or None.
+
+    p must be prime, and is not checked: for a composite p the answer can be
+    wrong (None for 4 mod 15) or never come (1 mod 9 loops in the search for
+    a non-residue).  The one caller, _solve, takes q from the sieve or from
+    root_classes, which checks it with is_prime.
+    """
     a %= p
     if a == 0:
         return 0
@@ -223,7 +227,7 @@ def _solve(p: QuadPoly, q: int) -> list[int]:
         return [(-p.c * pow(p.b, -1, q)) % q]
     if q == 2:
         return [t for t in (0, 1) if p(t) % 2 == 0]
-    s = mod_sqrt(p.discriminant, q)
+    s = _mod_sqrt(p.discriminant, q)
     if s is None:
         return []
     inv2a = pow(2 * p.a, -1, q)
@@ -262,7 +266,6 @@ class AdmissiblePrimes(NamedTuple):
     poly: QuadPoly
     bound: int
     primes: tuple[int, ...]
-    discriminant: int
 
 
 def admissible_primes(p: QuadPoly, bound: int) -> AdmissiblePrimes:
@@ -270,7 +273,7 @@ def admissible_primes(p: QuadPoly, bound: int) -> AdmissiblePrimes:
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     primes = tuple(q for q in primes_up_to(bound) if _solve(p, q))
-    return AdmissiblePrimes(poly=p, bound=bound, primes=primes, discriminant=p.discriminant)
+    return AdmissiblePrimes(poly=p, bound=bound, primes=primes)
 
 
 class SplitComparison(NamedTuple):
@@ -300,7 +303,6 @@ class TermRecord(NamedTuple):
     value: int
     prime: bool
     factorization: Factorization | None  # set for composite values >= 2
-    coprime30: bool
 
 
 class DensityReport(NamedTuple):
@@ -323,14 +325,14 @@ class DensityReport(NamedTuple):
     def coprime_share(self) -> float:
         if not self.records:
             return 0.0
-        return sum(r.coprime30 for r in self.records) / len(self.records)
+        return sum(math.gcd(r.value, 30) == 1 for r in self.records) / len(self.records)
 
 
 def _scan_one(p: QuadPoly, x: int) -> TermRecord:
     v = p(x)
     prime = v >= 2 and is_prime(v)
     fac = factorize(v) if (v >= 2 and not prime) else None
-    return TermRecord(x=x, value=v, prime=prime, factorization=fac, coprime30=math.gcd(v, 30) == 1)
+    return TermRecord(x=x, value=v, prime=prime, factorization=fac)
 
 
 def density_scan(p: QuadPoly, x0: int, x1: int) -> DensityReport:
@@ -398,35 +400,30 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     lo += lo % 2
     hi = int(math.floor(base + _DELTA_WINDOW))
     count = max(_SCORE_STEPS + 1, length)
-    delta1s = range(lo, hi + 1, 2)
-    chains = [
-        quad.extend([seed, seed + delta1, seed + 2 * delta1 + d2], count - 3) for delta1 in delta1s
-    ]
     candidates = []
-    for delta1, vals in zip(delta1s, chains):
+    for delta1 in range(lo, hi + 1, 2):
+        vals = quad.extend([seed, seed + delta1, seed + 2 * delta1 + d2], count - 3)
         score = max(abs(spiral._span(vals[i], vals[i + 1]) - spiral.TWO_PI)
                     for i in range(_SCORE_STEPS))
         if score < math.pi / 2.0:
-            candidates.append((score, delta1, vals))
+            candidates.append(ChainCandidate(delta1, score, tuple(vals[:length])))
     if not candidates:
         raise ChainNotFoundError(f"no admissible first step near 2*pi*sqrt({seed})")
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    _, delta1, vals = candidates[0]
+    candidates.sort(key=lambda c: (c.score, c.delta1))
+    best = candidates[0]
+    vals = best.values
     drifts = [spiral.angle_between(vals[i], vals[i + 1]) - spiral.TWO_PI for i in range(length - 1)]
     for i, drift in enumerate(drifts):
         if abs(drift) >= math.pi / 2.0:
             raise ChainNotFoundError(
-                f"best first step {delta1} from {seed} drifts {drift:.3f} rad at step {i + 1},"
+                f"best first step {best.delta1} from {seed} drifts {drift:.3f} rad at step {i + 1},"
                 " past a quarter wind"
             )
     return ArmChain(
         seed=seed,
         d2=d2,
-        delta1=delta1,
-        values=tuple(vals[:length]),
+        delta1=best.delta1,
+        values=vals,
         drifts=tuple(drifts),
-        candidates=tuple(
-            ChainCandidate(delta1=d1, score=s, values=tuple(v[:length]))
-            for s, d1, v in candidates
-        ),
+        candidates=tuple(candidates),
     )

@@ -178,26 +178,13 @@ class Arm(NamedTuple):
         return self.fits[0]
 
 
-class _ArmSystemFields(NamedTuple):
-    name: str
-    d2: int
-    rotation: str  # "P" (positive) or "N" (negative)
-    arms: tuple[Arm, ...] = ()
-
-
-class ArmSystem(_ArmSystemFields):
+class ArmSystem(NamedTuple):
     """A family of parallel arms sharing a second difference and rotation sense."""
 
-    __slots__ = ()
-
-    def __new__(cls, name: str, d2: int, rotation: str, arms: tuple[Arm, ...] = ()) -> "ArmSystem":
-        if rotation not in ("P", "N"):
-            raise ValueError(f"rotation must be P or N, got {rotation!r}")
-        return super().__new__(cls, name, d2, rotation, arms)
-
-    @classmethod
-    def _make(cls, iterable) -> "ArmSystem":  # behind _replace too; the inherited one skips __new__
-        return cls(*iterable)
+    name: str
+    d2: int
+    rotation: str  # "P" (positive) or "N" (negative); the fixture loader checks it
+    arms: tuple[Arm, ...] = ()
 
 
 class RuleFailure(NamedTuple):

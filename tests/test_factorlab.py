@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from rootspiral import factorlab, spiral
 from rootspiral.factorlab import (
     ChainNotFoundError,
+    _mod_sqrt,
     admissible_primes,
     density_scan,
     detect_arm_chain,
     factorize,
     is_prime,
-    mod_sqrt,
     primes_up_to,
     root_classes,
     same_splitting,
@@ -202,15 +202,15 @@ class TestModSqrt:
         for p in (10007, 100003, 2500250003):
             for _ in range(20):
                 x = rng.randrange(p)
-                r = mod_sqrt(x * x % p, p)
+                r = _mod_sqrt(x * x % p, p)
                 assert r is not None and r * r % p == x * x % p
 
     def test_non_residue(self):
-        assert mod_sqrt(5, 10007) is None or pow(5, 5003, 10007) == 1
+        assert _mod_sqrt(5, 10007) is None or pow(5, 5003, 10007) == 1
 
     def test_mod_2_is_the_residue(self):
         for a in range(-4, 5):
-            assert mod_sqrt(a, 2) == a % 2
+            assert _mod_sqrt(a, 2) == a % 2
 
 
 class TestRootClasses:
@@ -258,8 +258,10 @@ class TestRootClasses:
         assert root_classes(QuadPoly(10007, 20014, 30021), 10007).gaps == (1,)
 
     def test_requires_prime(self):
-        with pytest.raises(ValueError):
-            root_classes(B3, 10)
+        # 10007 * 10009 is a composite past the scan range, where _mod_sqrt would run
+        for q in (9, 10, 15, 10007 * 10009):
+            with pytest.raises(ValueError, match="q must be prime"):
+                root_classes(B3, q)
 
     def test_gap_sum_law_random(self):
         rng = random.Random(77)
@@ -323,7 +325,7 @@ class TestAdmissiblePrimes:
                     assert (q in got) == has_root, (system.name, arm.name, q)
 
     def test_discriminant_recorded(self):
-        assert admissible_primes(Q3, 10).discriminant == -403
+        assert admissible_primes(Q3, 10).poly.discriminant == -403
 
 
 class TestSameSplitting:
@@ -355,6 +357,11 @@ class TestDensityScan:
         assert rep.prime_count == 18
         assert 0.70 <= rep.prime_share <= 0.75
         assert rep.coprime_share == 1.0
+
+    def test_coprime_share_counts_values_prime_to_30(self):
+        # x^2 is prime to 30 exactly when x is: 8 of every 30 consecutive x
+        rep = density_scan(QuadPoly(1, 0, 0), 1, 31)
+        assert rep.coprime_share == 8 / 30
 
     def test_b3_table_window(self):
         rep = density_scan(B3, 16667, 16675)
@@ -390,6 +397,8 @@ class TestDetectArmChain:
         chain = detect_arm_chain(17, 18, 4)
         scores = [c.score for c in chain.candidates]
         assert scores == sorted(scores)
+        best = chain.candidates[0]
+        assert (best.delta1, best.values) == (chain.delta1, chain.values)
 
     def test_drifts_match_angle_oracle(self):
         chain = detect_arm_chain(17, 18, 4)

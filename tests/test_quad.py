@@ -230,7 +230,3 @@ class TestCoefficientRules:
         )
         report = coefficient_rules_check(sys_)
         assert any(f.rule == "c=preceding-term" for f in report.failures)
-
-    def test_rotation_validation(self):
-        with pytest.raises(ValueError):
-            ArmSystem(name="Z", d2=18, rotation="Q")

@@ -101,16 +101,6 @@ def test_records_equal_the_tuple_of_their_fields():
     assert (a, b, c) == (9, 9, -1)
 
 
-def test_arm_system_checks_the_rotation_however_it_is_built():
-    system = quad.ArmSystem("Z", 18, "P")
-    assert system._replace(d2=20) == quad.ArmSystem("Z", 20, "P")
-    assert type(system._replace(d2=20)) is quad.ArmSystem
-    with pytest.raises(ValueError, match="rotation must be P or N"):
-        system._replace(rotation="Q")
-    with pytest.raises(ValueError, match="rotation must be P or N"):
-        quad.ArmSystem._make(("Z", 18, "Q", ()))
-
-
 def test_new_reports_share_no_mutable_default():
     first, second = Report("a"), Report("b")
     first.add("x", True)
