@@ -37,8 +37,8 @@ def window_bounds(text: str) -> tuple[int, int]:
 def resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
     """An arm name from the fixtures, or literal coefficients 'a,b,c'.
 
-    A fixture arm is named 'SYSTEM/ARM'; a literal keeps its text, which
-    never holds a '/'.
+    A fixture arm is named 'SYSTEM/ARM'; a literal is named by its text
+    without surrounding whitespace, which never holds a '/'.
     """
     try:
         system, arm = fx.find_arm(text)
@@ -46,6 +46,6 @@ def resolve_poly(fx: FixtureSet, text: str) -> tuple[str, QuadPoly]:
     except FixtureLookupError as exc:
         lookup_error = exc
     try:
-        return text, QuadPoly.parse(text)
+        return text.strip(), QuadPoly.parse(text)
     except ValueError as exc:
         raise SystemExit2(f"not an arm or polynomial: {lookup_error.args[0]}; {exc}") from None

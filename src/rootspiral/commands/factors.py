@@ -21,7 +21,7 @@ def run(args: argparse.Namespace) -> Report:
     rows = ["prime,roots,gaps"]
     for q in adm.primes:
         rc = factorlab.root_classes(poly, q)
-        rows.append(f"{q},{' '.join(map(str, sorted(rc.roots)))},{' '.join(map(str, rc.gaps))}")
+        rows.append(f"{q},{' '.join(map(str, rc.roots))},{' '.join(map(str, rc.gaps))}")
     report.data["root_classes_csv"] = "\n".join(rows)
     report.add("admissible-primes", True, f"{len(adm.primes)} primes <= {args.bound}")
     if args.compare is not None:

@@ -35,6 +35,6 @@ def run(args: argparse.Namespace) -> Report:
     ]
     report.data["six_classes"] = six
     # a mod-10 period of 1 or 5 is the paper's claim for its arms; a literal's is only reported
-    claim = cyc.period in (1, 5) if "/" in name else None
+    claim = cyc.period in residues.ENDING_PERIODS if "/" in name else None
     report.add("ending-period", claim, f"mod-10 period {cyc.period}")
     return report

@@ -15,19 +15,19 @@ def _verify_system(report: Report, system: ArmSystem) -> int:
     The loader has already checked fit 1 against the six terms, so the rules
     hold for an arm exactly when each later fit is the one before shifted by 1.
     """
-    rules = coefficient_rules_check(system)
+    failures = coefficient_rules_check(system)
     passed = 0
     for arm in system.arms:
-        woes = [f"{f.rule}: {f.detail}" for f in rules.failures if f.arm == arm.name]
+        woes = [f"{f.rule}: {f.detail}" for f in failures if f.arm == arm.name]
         period = residues.residue_cycle(arm.poly, 10).period
-        if period not in (1, 5):
+        if period not in residues.ENDING_PERIODS:
             woes.append(f"mod-10 period {period}")
         report.add(f"{system.name}/{arm.name}", not woes, "; ".join(woes))
         passed += not woes
     report.add(
         f"{system.name} coefficient rules",
-        rules.ok,
-        "; ".join(f"{f.arm}:{f.rule}" for f in rules.failures),
+        not failures,
+        "; ".join(f"{f.arm}:{f.rule}" for f in failures),
     )
     return passed
 

@@ -130,9 +130,8 @@ def _pollard_brent(n: int) -> int:
 
 
 class Factorization(NamedTuple):
-    """n as a sorted tuple of (prime, exponent) pairs."""
+    """A factorization as a sorted tuple of (prime, exponent) pairs."""
 
-    n: int
     factors: tuple[tuple[int, int], ...]
 
     def __str__(self) -> str:
@@ -168,7 +167,7 @@ def factorize(n: int) -> Factorization:
             continue
         d = _pollard_brent(m)
         stack.extend((d, m // d))
-    return Factorization(n=n, factors=tuple(sorted(found.items())))
+    return Factorization(factors=tuple(sorted(found.items())))
 
 
 def _mod_sqrt(a: int, p: int) -> int | None:
@@ -210,7 +209,7 @@ class RootClasses(NamedTuple):
     """Residues t mod p with p | f(t), and the recurrence gap structure."""
 
     p: int
-    roots: frozenset[int]
+    roots: tuple[int, ...]  # ascending
     gaps: tuple[int, ...]
 
 
@@ -257,14 +256,12 @@ def root_classes(p: QuadPoly, q: int) -> RootClasses:
     else:
         g = roots[1] - roots[0]
         gaps = tuple(sorted((g, q - g)))
-    return RootClasses(p=q, roots=frozenset(roots), gaps=gaps)
+    return RootClasses(p=q, roots=tuple(roots), gaps=gaps)
 
 
 class AdmissiblePrimes(NamedTuple):
     """Primes up to a bound that divide at least one value of the polynomial."""
 
-    poly: QuadPoly
-    bound: int
     primes: tuple[int, ...]
 
 
@@ -273,7 +270,7 @@ def admissible_primes(p: QuadPoly, bound: int) -> AdmissiblePrimes:
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     primes = tuple(q for q in primes_up_to(bound) if _solve(p, q))
-    return AdmissiblePrimes(poly=p, bound=bound, primes=primes)
+    return AdmissiblePrimes(primes=primes)
 
 
 class SplitComparison(NamedTuple):
@@ -308,9 +305,6 @@ class TermRecord(NamedTuple):
 class DensityReport(NamedTuple):
     """Primality and factor structure over one index window of an arm."""
 
-    poly: QuadPoly
-    x0: int
-    x1: int
     records: tuple[TermRecord, ...]
 
     @property
@@ -345,8 +339,7 @@ def density_scan(p: QuadPoly, x0: int, x1: int) -> DensityReport:
                 extremes.extend((p(vertex), p(vertex + 1)))
         if max(abs(v) for v in extremes) > VALUE_LIMIT:
             raise OverflowError(f"values exceed 2^63 in window [{x0}, {x1})")
-    records = tuple(_scan_one(p, x) for x in range(x0, x1))
-    return DensityReport(poly=p, x0=x0, x1=x1, records=records)
+    return DensityReport(records=tuple(_scan_one(p, x) for x in range(x0, x1)))
 
 
 class ChainCandidate(NamedTuple):
@@ -358,8 +351,6 @@ class ChainCandidate(NamedTuple):
 class ArmChain(NamedTuple):
     """A one-wind-per-step chain found on the spiral."""
 
-    seed: int
-    d2: int
     delta1: int
     values: tuple[int, ...]
     drifts: tuple[float, ...]  # per-step angle minus 2*pi
@@ -420,10 +411,5 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
                 " past a quarter wind"
             )
     return ArmChain(
-        seed=seed,
-        d2=d2,
-        delta1=best.delta1,
-        values=vals,
-        drifts=tuple(drifts),
-        candidates=tuple(candidates),
+        delta1=best.delta1, values=vals, drifts=tuple(drifts), candidates=tuple(candidates)
     )

@@ -18,9 +18,8 @@ if TYPE_CHECKING:
 
 
 class NumberSpiralPoint(NamedTuple):
-    """Placement of n on the number spiral; theta is in full rotations."""
+    """Placement of a number on the number spiral; theta is in full rotations."""
 
-    n: int
     r: float
     theta_rotations: float
 
@@ -29,13 +28,12 @@ def ns_polar(n: int) -> NumberSpiralPoint:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rt = math.sqrt(n)
-    return NumberSpiralPoint(n=n, r=rt, theta_rotations=rt)
+    return NumberSpiralPoint(r=rt, theta_rotations=rt)
 
 
 class UlamCoord(NamedTuple):
-    """Lattice position of n on the standard square spiral."""
+    """Lattice position of a number on the standard square spiral."""
 
-    n: int
     x: int
     y: int
 
@@ -49,24 +47,23 @@ def ulam_coord(n: int) -> UlamCoord:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
-        return UlamCoord(1, 0, 0)
+        return UlamCoord(0, 0)
     k = (math.isqrt(n - 1) + 1) // 2  # ring index
     side = 2 * k
     offset = n - (2 * k - 1) ** 2  # steps past the ring entry point (k, -k+1)
     leg, pos = divmod(offset - 1, side)
     if leg == 0:  # up the right edge
-        return UlamCoord(n, k, -k + 1 + pos)
+        return UlamCoord(k, -k + 1 + pos)
     if leg == 1:  # left along the top
-        return UlamCoord(n, k - 1 - pos, k)
+        return UlamCoord(k - 1 - pos, k)
     if leg == 2:  # down the left edge
-        return UlamCoord(n, -k, k - 1 - pos)
-    return UlamCoord(n, -k + 1 + pos, -k)  # right along the bottom
+        return UlamCoord(-k, k - 1 - pos)
+    return UlamCoord(-k + 1 + pos, -k)  # right along the bottom
 
 
 class OffsetCurve(NamedTuple):
     """Classification of a quadratic as a number-spiral offset/composite curve."""
 
-    poly: QuadPoly
     is_offset: bool  # leading coefficient is a perfect square
     is_composite: bool  # offset curve with zero constant term
     angle: "Fraction | None"  # rotation angle b/(2*sqrt(a)) when composite
@@ -79,7 +76,7 @@ def classify_offset_curve(p: QuadPoly) -> OffsetCurve:
     is_offset = p.a > 0 and root * root == p.a
     is_composite = is_offset and p.c == 0
     angle = Fraction(p.b, 2 * root) if is_composite else None
-    return OffsetCurve(poly=p, is_offset=is_offset, is_composite=is_composite, angle=angle)
+    return OffsetCurve(is_offset=is_offset, is_composite=is_composite, angle=angle)
 
 
 def offset_curve_points(p: QuadPoly, count: int) -> list[tuple[float, float]]:

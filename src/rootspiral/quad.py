@@ -193,20 +193,10 @@ class RuleFailure(NamedTuple):
     detail: str
 
 
-class RulesReport(NamedTuple):
-    """Outcome of the coefficient rules over one arm system."""
+def coefficient_rules_check(system: ArmSystem) -> tuple[RuleFailure, ...]:
+    """The breaches of the three coefficient rules on the arms of a system.
 
-    system: str
-    checked: int
-    failures: tuple[RuleFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def coefficient_rules_check(system: ArmSystem) -> RulesReport:
-    """Verify the three coefficient rules on every arm of a system.
+    The rules hold exactly when the tuple is empty:
 
     1. the leading coefficient equals d2/2 in every fit;
     2. b steps by d2 from one fit to the next;
@@ -239,4 +229,4 @@ def coefficient_rules_check(system: ArmSystem) -> RulesReport:
                         f"preceding term is {arm.terms[idx - 1]}",
                     )
                 )
-    return RulesReport(system=system.name, checked=len(system.arms), failures=tuple(failures))
+    return tuple(failures)

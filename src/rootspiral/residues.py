@@ -17,11 +17,13 @@ from typing import NamedTuple
 
 from .quad import QuadPoly
 
+# The mod-10 periods the paper claims for the endings of its arms.
+ENDING_PERIODS = (1, 5)
+
 
 class ResidueCycle(NamedTuple):
     """Residues of f(1), f(2), ... mod k over one minimal period."""
 
-    modulus: int
     period: int
     cycle: tuple[int, ...]
 
@@ -47,7 +49,7 @@ def residue_cycle(p: QuadPoly, k: int) -> ResidueCycle:
         if k % d == 0 and (2 * p.a * d) % k == 0 and (p.a * d * d + p.b * d) % k == 0
     )
     cycle = tuple(p(t) % k for t in range(1, period + 1))
-    return ResidueCycle(modulus=k, period=period, cycle=cycle)
+    return ResidueCycle(period=period, cycle=cycle)
 
 
 def ending_alphabet(p: QuadPoly) -> set[int]:

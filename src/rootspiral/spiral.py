@@ -63,9 +63,8 @@ _BLOCK = 1 << 16
 
 
 class SpiralPoint(NamedTuple):
-    """Polar placement of the natural number n on the spiral."""
+    """Polar placement of a natural number on the spiral."""
 
-    n: int
     radius: float
     angle_total: float
     wind: int
@@ -216,7 +215,7 @@ def estimate_c2(k: int, accelerate: bool = True) -> float:
 def polar_of(n: int) -> SpiralPoint:
     """Exact polar placement of n <= 2^53: radius sqrt(n), cumulative angle, wind."""
     phi = total_angle(n)
-    return SpiralPoint(n=n, radius=math.sqrt(n), angle_total=phi, wind=int(phi // TWO_PI))
+    return SpiralPoint(radius=math.sqrt(n), angle_total=phi, wind=int(phi // TWO_PI))
 
 
 def winding_gap(n: int) -> float:

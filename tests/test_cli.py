@@ -229,9 +229,13 @@ class TestDensity:
         assert json.loads(out)["data"]["csv"].splitlines()[1].startswith("1582,2502724,")
 
     def test_negative_values_leave_digit_sum_empty(self, capsys):
-        code, out = run(capsys, "--json", "density", "--at", "start", "--", "-1,0,5")
-        assert code == 0
-        assert "3,-4,0,,,-5,-2" in json.loads(out)["data"]["csv"].splitlines()
+        # a literal is named by its text without the whitespace around it
+        for literal in ("-1,0,5", " -1,0,5 "):
+            code, out = run(capsys, "--json", "density", "--at", "start", "--", literal)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["inputs"]["arm"] == "-1,0,5"
+            assert "3,-4,0,,,-5,-2" in payload["data"]["csv"].splitlines()
 
     def test_negative_leading_literal_after_double_dash(self, capsys):
         code, out = run(capsys, "--json", "density", "--at", "start", "--", "-1,0,5000000")
@@ -580,3 +584,37 @@ def test_reports_byte_identical_across_runs(capsys):
     _, first = run(capsys, "--json", "density", "B3", "--at", "2.5e9")
     _, second = run(capsys, "--json", "density", "B3", "--at", "2.5e9")
     assert first == second
+
+
+# sha256 of the --json stdout of the README commands whose reports hold no
+# transcendental float, and of density at every fixture window: a change that
+# moves one byte of these reports fails here
+GOLDEN_JSON_SHA256 = {
+    "verify-tables --which all": "6f2add98e0d44c7febe389a6ba65b5f888a7cee390d27f404810d96a18adc48b",
+    "factors B3 --bound 61": "412cc1ac4d370603edde3b62d5785df8b52725cd40e19ce7afcc8a7943286488",
+    "factors Q3 --compare S1": "57dcea56120108f07e06c3f2f604fcc896a7daaff6bf0f314550cb8aa4e877e1",
+    "factors K5 --window 1..6": "d7abb3ef9ccf67d2a33af66a6fb302b5d2bc1b66e67c0ced8653953777bde243",
+    "residues Q3": "8a11efb0b415e39683371abe17f23f8eee9b1a28a138e127e72c595e65eff899",
+    "density P18-B/B3 --at start": "ed3369f0f6d95af41afc3e9bc6f0ae33ac2db278c0029ea7e142e473251f115b",
+    "density P18-B/B3 --at 2.5e6": "d10b22a53940e2c289d54b3b3bd1dc1ae8e5e742e25d8de4d918c16ea2e3231e",
+    "density P18-B/B3 --at 2.5e7": "d58dcab3a8c8fa828b2a047639556554c01cbf1c8614fdf7f647844943f1a25c",
+    "density P18-B/B3 --at 2.5e8": "2b8b9c87eb732657fcbc01eb3949e382bed42ff454580cbf6364c5ea68db0858",
+    "density P18-B/B3 --at 2.5e9": "9315882d782a5d0a20856546e1b48641817dee3a36307112ff5497d99a1e10ab",
+    "density N22-Q/Q3 --at start": "82c49dff0e06be13aeaed65060bdb45c3edfd084abbd0606531effde1f3ee14f",
+    "density N22-Q/Q3 --at 2.5e6": "3afa5710ad8e0bea184dcb97f56620ae9f62c5664eb6ec25a5bf51d6fbe82b51",
+    "density N22-Q/Q3 --at 2.5e7": "d4a009a37396a7a714eee183ff8be691369c4d1a6c54f34d3cd19c110ffe76a9",
+    "density N22-Q/Q3 --at 2.5e8": "f370b4c87d5b9780aa80a3a8e18423ca8000e9f91d4c4956e74e2d141d6d0330",
+    "density N22-Q/Q3 --at 2.5e9": "11fc773af0215de9799df9c0c1640135612956fa934cfb8c50cd3a4f701bd3b4",
+    "density P20-G/G1 --at start": "cf8ce317ea7d449478ef7efd70ae37c687055927a9dd52b455a89703adfbf06c",
+    "density P20-G/G1 --at 2.5e6": "c4834081ff19ffe0339793f2e8dec3d85fe0b9ceb31fd9f1987ca98904cf4f55",
+    "density P20-G/G1 --at 2.5e7": "4e7758be4deb44350f9797d48ed225eb050ebf5e40d05f3e518cc8611dea3188",
+    "density P20-G/G1 --at 2.5e8": "ce1dfca15a51b54257beec3b9edde551c1e10ae2045845f5ef065dc7a9133bb9",
+    "density P20-G/G1 --at 2.5e9": "9109068837cd810690a766b28b98deb3ee687cc16b15ca6b0275f1e5edb2dbbb",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_JSON_SHA256)
+def test_json_report_bytes_are_pinned(capsys, command):
+    code, out = run(capsys, "--json", *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_JSON_SHA256[command]

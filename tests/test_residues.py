@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rootspiral.fixtures import load_fixtures
 from rootspiral.quad import QuadPoly
 from rootspiral.residues import (
+    ENDING_PERIODS,
     SixClass,
     _digit_sum_gaps,
     digit_sum,
@@ -240,4 +241,4 @@ def test_all_fixture_arms_have_mod10_period_one_or_five():
     fx = load_fixtures()
     for system in fx.systems + fx.extras:
         for arm in system.arms:
-            assert residue_cycle(arm.poly, 10).period in (1, 5), f"{system.name}/{arm.name}"
+            assert residue_cycle(arm.poly, 10).period in ENDING_PERIODS, f"{system.name}/{arm.name}"
