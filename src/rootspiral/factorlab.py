@@ -9,6 +9,7 @@ give a gap pair summing to q.
 """
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
 from . import quad
@@ -236,17 +237,22 @@ def _solve(p: QuadPoly, q: int) -> list[int]:
 def root_classes(p: QuadPoly, q: int) -> RootClasses:
     """Solve a*t^2 + b*t + c = 0 (mod q) for prime q.
 
-    Moduli below 10 000 are scanned; larger ones are solved by _solve.  One
-    root recurs with gap q; two roots r1 < r2 recur with alternating gaps
+    Moduli below 10 000 are scanned; larger ones are solved by _solve.  When
+    q divides a, b and c every residue is a root.  Otherwise f is a nonzero
+    polynomial of degree <= 2 over the field Z/q, which has at most two roots
+    (Lagrange), so the scan stops at the second root it finds.  One root
+    recurs with gap q; two roots r1 < r2 recur with alternating gaps
     (r2-r1, q-(r2-r1)).
     """
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if q < 10_000:
-        f = p.__call__  # bound once: calling the record p looks up __call__ on every call
-        roots = [t for t in range(q) if f(t) % q == 0]
-    else:
+    if q >= 10_000:
         roots = _solve(p, q)
+    elif p.a % q == p.b % q == p.c % q == 0:
+        roots = list(range(q))
+    else:
+        f = p.__call__  # bound once: calling the record p looks up __call__ on every call
+        roots = list(islice((t for t in range(q) if f(t) % q == 0), 2))
     if len(roots) == q:  # degenerate: q divides all three coefficients
         gaps: tuple[int, ...] = (1,)
     elif not roots:

@@ -233,7 +233,11 @@ class TestRootClasses:
         assert rc.gaps == (11,)
 
     def test_brute_force_agreement_small(self):
-        for poly in (A3, B3, Q3, S1, K5, B33, G1):
+        # the scan stops at its second root: roots at the last two residues
+        # (1,3,2), one double root at q-1 (1,2,1), roots 0 and 1 (1,-1,0), and
+        # a polynomial that is 0 mod 2, 3 and 5, where every residue is a root
+        edges = (QuadPoly(1, 3, 2), QuadPoly(1, 2, 1), QuadPoly(1, -1, 0), QuadPoly(30, 60, 90))
+        for poly in (A3, B3, Q3, S1, K5, B33, G1, *edges):
             for q in primes_up_to(500):
                 rc = root_classes(poly, q)
                 assert list(rc.roots) == brute_roots(poly, q), (poly, q)
@@ -268,6 +272,9 @@ class TestRootClasses:
     @example(a=0, b=7, c=3, q=509)  # linear
     @example(a=521 * 3, b=5, c=-2, q=521)  # q | a: linear
     @example(a=1, b=0, c=-4, q=9_973)  # two roots at the top of the scan range
+    @example(a=1, b=3, c=2, q=9_973)  # roots q-2 and q-1, the last two residues
+    @example(a=1, b=2, c=1, q=9_973)  # one double root at q-1
+    @example(a=1, b=-1, c=0, q=9_973)  # roots 0 and 1, the first two residues
     def test_scan_matches_solve_below_10000(self, a, b, c, q):
         # the scan serves q < 10 000 and _solve every larger q; here they must agree
         poly = QuadPoly(a, b, c)
