@@ -9,7 +9,6 @@ give a gap pair summing to q.
 """
 
 import math
-from itertools import islice
 from typing import NamedTuple
 
 from . import quad
@@ -237,23 +236,22 @@ def _solve(p: QuadPoly, q: int) -> list[int]:
 def root_classes(p: QuadPoly, q: int) -> RootClasses:
     """Solve a*t^2 + b*t + c = 0 (mod q) for prime q.
 
-    Moduli below 10 000 are scanned; larger ones are solved by _solve.  When
-    q divides a, b and c every residue is a root.  Otherwise f is a nonzero
-    polynomial of degree <= 2 over the field Z/q, which has at most two roots
-    (Lagrange), so the scan stops at the second root it finds.  One root
-    recurs with gap q; two roots r1 < r2 recur with alternating gaps
-    (r2-r1, q-(r2-r1)).
+    _solve answers q >= 10 000 and every q that divides a.  Below 10 000 with
+    q not dividing a, f is a true quadratic over the field Z/q: it has at most
+    two roots (Lagrange), and they sum to -b/a (Vieta).  So the scan stops at
+    the first root r1, the smallest, and the other is -b/a - r1, equal to r1
+    for a double root.  One root recurs with gap q; two roots r1 < r2 recur
+    with alternating gaps (r2-r1, q-(r2-r1)).
     """
     if q < 2 or not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    if q >= 10_000:
+    if q >= 10_000 or p.a % q == 0:
         roots = _solve(p, q)
-    elif p.a % q == p.b % q == p.c % q == 0:
-        roots = list(range(q))
     else:
         f = p.__call__  # bound once: calling the record p looks up __call__ on every call
-        roots = list(islice((t for t in range(q) if f(t) % q == 0), 2))
-    if len(roots) == q:  # degenerate: q divides all three coefficients
+        r1 = next((t for t in range(q) if f(t) % q == 0), None)
+        roots = [] if r1 is None else sorted({r1, (-p.b * pow(p.a, -1, q) - r1) % q})
+    if len(roots) == q:  # every residue is a root
         gaps: tuple[int, ...] = (1,)
     elif not roots:
         gaps = ()

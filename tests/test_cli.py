@@ -594,6 +594,7 @@ GOLDEN_JSON_SHA256 = {
     "verify-tables --which all": "6f2add98e0d44c7febe389a6ba65b5f888a7cee390d27f404810d96a18adc48b",
     "factors B3 --bound 61": "412cc1ac4d370603edde3b62d5785df8b52725cd40e19ce7afcc8a7943286488",
     "factors B3 --bound 9973": "b62a70c51958f9a53afb6b89ae42081a965a2f9411fef4b54bbb19c3857c4d40",
+    "factors 30030,7,-1 --bound 500": "dc7e873ba5fd6ad858eea939a141db8beec474ba2a30130b5382a15181e6af89",
     "factors Q3 --compare S1": "57dcea56120108f07e06c3f2f604fcc896a7daaff6bf0f314550cb8aa4e877e1",
     "factors K5 --window 1..6": "d7abb3ef9ccf67d2a33af66a6fb302b5d2bc1b66e67c0ced8653953777bde243",
     "residues Q3": "8a11efb0b415e39683371abe17f23f8eee9b1a28a138e127e72c595e65eff899",

@@ -233,10 +233,19 @@ class TestRootClasses:
         assert rc.gaps == (11,)
 
     def test_brute_force_agreement_small(self):
-        # the scan stops at its second root: roots at the last two residues
-        # (1,3,2), one double root at q-1 (1,2,1), roots 0 and 1 (1,-1,0), and
-        # a polynomial that is 0 mod 2, 3 and 5, where every residue is a root
-        edges = (QuadPoly(1, 3, 2), QuadPoly(1, 2, 1), QuadPoly(1, -1, 0), QuadPoly(30, 60, 90))
+        # roots at the last two residues (1,3,2), one double root at q-1
+        # (1,2,1) and at 5 (1,-10,25), roots 0 and 1 (1,-1,0), a negative a
+        # for the Vieta step's inverse (-3,5,7); q | a goes to _solve: every
+        # residue mod 2, 3 and 5 (30,60,90), none mod 7, 11 and 13 (1001,2002,3)
+        edges = (
+            QuadPoly(1, 3, 2),
+            QuadPoly(1, 2, 1),
+            QuadPoly(1, -10, 25),
+            QuadPoly(1, -1, 0),
+            QuadPoly(-3, 5, 7),
+            QuadPoly(30, 60, 90),
+            QuadPoly(1001, 2002, 3),
+        )
         for poly in (A3, B3, Q3, S1, K5, B33, G1, *edges):
             for q in primes_up_to(500):
                 rc = root_classes(poly, q)
@@ -275,8 +284,11 @@ class TestRootClasses:
     @example(a=1, b=3, c=2, q=9_973)  # roots q-2 and q-1, the last two residues
     @example(a=1, b=2, c=1, q=9_973)  # one double root at q-1
     @example(a=1, b=-1, c=0, q=9_973)  # roots 0 and 1, the first two residues
+    @example(a=-3, b=5, c=7, q=9_973)  # negative a: Vieta inverts it
+    @example(a=1, b=-10, c=25, q=9_973)  # one double root at 5
     def test_scan_matches_solve_below_10000(self, a, b, c, q):
-        # the scan serves q < 10 000 and _solve every larger q; here they must agree
+        # the scan serves q < 10 000 with q not dividing a, and _solve the rest;
+        # here they must agree
         poly = QuadPoly(a, b, c)
         assert root_classes(poly, q).roots == tuple(factorlab._solve(poly, q))
 
