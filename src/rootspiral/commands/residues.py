@@ -21,8 +21,9 @@ def run(args: argparse.Namespace) -> Report:
         prof = residues.sd_profile(poly, args.terms)
         report.data["sd_ordered"] = list(prof.ordered_distinct)
         gaps = prof.gaps
+        # a line or a constant is no arm, and a < 0 has finitely many positive terms
         report.data["sd_pattern"] = (
-            "n/a" if poly.a <= 0  # only finitely many terms are positive
+            "n/a" if poly.a <= 0
             else f"constant {gaps[0]}" if len(set(gaps)) == 1
             else f"cycle {gaps}"
         )

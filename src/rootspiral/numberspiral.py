@@ -4,8 +4,10 @@ On the number spiral the integer n sits at polar (r, theta) = (sqrt(n),
 sqrt(n) rotations), which lines every perfect square up on a single ray.
 Offset curves are quadratics with square leading coefficient; those with
 zero constant term are composite curves, factoring term-by-term as
-y = x*(a*x + b).  The square-root spiral winds about three times wider, so
-one number-spiral curve splits into three arms there (decimation by 3).
+y = x*(a*x + b).  One step of an a = 1 curve turns the square-root spiral
+by about 2*sqrt(a) = 2 rad, so f(3t + r), with a = 9, turns it by 6 rad per
+step: one wind plus 6 - 2*pi = -16.23 degrees, the d2 = 18 drift.  So one
+number-spiral curve splits into three arms there (decimation by 3).
 """
 
 import math
@@ -128,9 +130,10 @@ def composite_factor(p: QuadPoly, x: int) -> tuple[int, int]:
 def sqrt_spiral_counterparts(p: QuadPoly) -> tuple[QuadPoly, QuadPoly, QuadPoly]:
     """The three square-root-spiral arms of a number-spiral curve.
 
-    One curve there corresponds to three arms here because the square-root
-    spiral holds three of its terms per wind: the decimations p(3t+r) for
-    r = 0, 1, 2.
+    A step of an a = 1 curve turns the square-root spiral by about
+    2*sqrt(a) = 2 rad, so a step of p(3t+r), with a = 9, turns it by 6 rad:
+    one wind plus 6 - 2*pi = -16.23 degrees, the d2 = 18 drift.  So each of
+    the decimations p(3t+r), r = 0, 1, 2, winds once per step, an arm.
     """
     return decimate(p, 3, 0), decimate(p, 3, 1), decimate(p, 3, 2)
 

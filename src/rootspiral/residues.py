@@ -96,8 +96,9 @@ def sd_profile(p: QuadPoly, n_terms: int = 25) -> DigitSumProfile:
     gaps between those classes: a constant 1, 3 or 9, or the cycles (3,6),
     (1,3,3,2) (a = 1 mod 3, the d2 = 20 arms) and (1,2,3,3) (a = 2 mod 3,
     the d2 = 22 arms).  A window shows the cycle only where it reaches every
-    digit sum in its range.  The gaps describe the arm only when a > 0:
-    otherwise only finitely many terms are positive.
+    digit sum in its range.  The gaps describe an arm only when a > 0: a
+    line or a constant is no arm, and for a < 0 only finitely many terms are
+    positive.
     """
     if n_terms < 5:
         raise ValueError(f"need at least 5 terms, got {n_terms}")

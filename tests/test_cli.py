@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import rootspiral
-from rootspiral import spiral
+from rootspiral import factorlab, spiral
 from rootspiral.cli import build_parser, main
 from rootspiral.commands.density import _first_reaching
 from rootspiral.fixtures import fixture_text
@@ -98,17 +98,18 @@ class TestVerifyTables:
         assert "line 1" in err
 
     def test_malformed_record_exits_2_with_its_line(self, capsys, tmp_path):
-        bad = tmp_path / "rot.tsv"
-        bad.write_text(
-            "# header\n"
-            "arm\tP18-A\tA1\tQ\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n",
-            encoding="utf-8",
-        )
-        code = main(["--fixture-file", str(bad), "verify-tables", "--which", "6A"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("line ") == 1 and "line 2: " in err
-        assert "Traceback" not in err
+        bad = tmp_path / "bad.tsv"
+        for record, message in [
+            (A1_RECORD.replace("\tP\t", "\tQ\t", 1), "P18-A/A1: rotation must be P or N"),
+            (A1_RECORD.rsplit("\t", 1)[0] + "\n", "arm record needs 15 fields, got 14"),
+            ("k5ref\tN22-K\tK5\t2\t49\n", "k5ref record needs 6 fields, got 5"),
+        ]:
+            bad.write_text("# header\n" + record, encoding="utf-8")
+            code = main(["--fixture-file", str(bad), "verify-tables", "--which", "6A"])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.count("line ") == 1 and f"line 2: {message}" in err
+            assert "Traceback" not in err
 
     def test_inconsistent_fits_exit_1_with_arm_named(self, capsys, tmp_path):
         # parseable record whose printed second fit disagrees with reindexing
@@ -126,6 +127,20 @@ class TestVerifyTables:
         ) in out
         assert "[FAIL] P18-A coefficient rules  A1:b-step=d2; A1:b-step=d2\n" in out
         assert "table 6A: 0/1 arms pass" in out
+
+    def test_even_b_arm_fails_its_mod10_period(self, capsys, tmp_path):
+        # 9x^2 + 4x - 7 keeps the coefficient rules, but with b even its endings
+        # repeat every 10 terms, not the 5 the paper claims for its arms
+        even = tmp_path / "even.tsv"
+        even.write_text(
+            "arm\tP18-A\tA1\tP\t18\t9\t4\t-7\t22\t6\t40\t37\t58\t86\t6,37,86,153,238,341\n",
+            encoding="utf-8",
+        )
+        code = main(["--fixture-file", str(even), "verify-tables", "--which", "6A"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[FAIL] P18-A/A1  mod-10 period 10\n" in out
+        assert "[PASS] P18-A coefficient rules\n" in out
 
     @pytest.mark.parametrize("which", ["6B", "all"])
     def test_table_without_arms_exits_2(self, capsys, tmp_path, which):
@@ -328,7 +343,20 @@ class TestDetect:
     def test_b3_chain(self, capsys):
         code, out = run(capsys, "detect", "--seed-n", "17", "--d2", "18", "--length", "6")
         assert code == 0
-        assert "[17, 53, 107, 179, 269, 377]" in out
+        assert "\nvalues: [17, 53, 107, 179, 269, 377]\n" in out  # the chain, not a candidate
+
+    def test_no_chain_is_a_failed_check(self, capsys, monkeypatch):
+        def no_chain(seed, d2, length):
+            raise factorlab.ChainNotFoundError(f"no chain from {seed} with d2 {d2}")
+
+        monkeypatch.setattr(factorlab, "detect_arm_chain", no_chain)
+        code, out = run(capsys, "--json", "detect", "--seed-n", "17", "--d2", "18")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["data"] == {}
+        assert [(c["name"], c["status"], c["detail"]) for c in payload["checks"]] == [
+            ("chain", "fail", "no chain from 17 with d2 18")
+        ]
 
 
 class TestPlot:
@@ -387,6 +415,7 @@ class TestPlot:
         )
 
     def test_point_budget(self, capsys, tmp_path):
+        assert main(["plot", "sqrt-spiral", "--n", "100000", "--out", str(tmp_path / "s.svg")]) == 0
         with pytest.raises(SystemExit) as exc:  # argparse rejects --n past 1e5
             main(["plot", "ulam", "--n", "100001", "--out", str(tmp_path / "x.svg")])
         assert exc.value.code == 2
@@ -447,6 +476,10 @@ class TestUsageErrors:
             pytest.param(("residues", "9" * 4299 + ",0,0", "--terms", "10"),
                          id="residues <4299 nines>,0,0 --terms 10"),
             ("residues", "9223372036854775809x^2+x+1", "--terms", "10"),  # a coefficient past 2^63
+            # both window ends lie below 2^63; only the vertex at x = 2e9 passes it
+            ("factors", "--bound", "7", "--window", "1999995000..2000005000",
+             "--", "-1,4000000000,5223372036854775818"),
+            ("plot", "arms", "--system", "NOPE"),
         ],
         ids=" ".join,
     )
@@ -587,13 +620,19 @@ def test_reports_byte_identical_across_runs(capsys):
 
 
 # sha256 of the --json stdout of the README commands whose reports hold no
-# transcendental float, of density at every fixture window, and of factors up
-# to 9973, the largest prime root_classes scans: a change that moves one byte of
+# transcendental float, of density at every fixture window, of factors up to
+# 9973, the largest prime root_classes scans, and on to 20 000, and of literals
+# that take each root-class case at small q: every residue a root (30,60,90 at
+# 2, 3 and 5), none with q | a and b (30030,7,-1 at 7), one linear root (7,3,5
+# at 7) and two roots (7,3,5 at 3 and 5).  A change that moves one byte of
 # these reports fails here
 GOLDEN_JSON_SHA256 = {
     "verify-tables --which all": "6f2add98e0d44c7febe389a6ba65b5f888a7cee390d27f404810d96a18adc48b",
     "factors B3 --bound 61": "412cc1ac4d370603edde3b62d5785df8b52725cd40e19ce7afcc8a7943286488",
     "factors B3 --bound 9973": "b62a70c51958f9a53afb6b89ae42081a965a2f9411fef4b54bbb19c3857c4d40",
+    "factors B3 --bound 20000": "23fe817bfb008305d23e2e28278868e860432dbe6991e0eabaf2aa0f8e9bf7ee",
+    "factors 30,60,90 --bound 7": "48100709394ab13087cd7367ca34a39d3db5bffa2a8e096d4ff2d6db1a40740c",
+    "factors 7,3,5 --bound 7": "3570bed499899be6766cd5cc97960e25b852384f6a0e26813c5b69c6a2beb9ff",
     "factors 30030,7,-1 --bound 500": "dc7e873ba5fd6ad858eea939a141db8beec474ba2a30130b5382a15181e6af89",
     "factors Q3 --compare S1": "57dcea56120108f07e06c3f2f604fcc896a7daaff6bf0f314550cb8aa4e877e1",
     "factors K5 --window 1..6": "d7abb3ef9ccf67d2a33af66a6fb302b5d2bc1b66e67c0ced8653953777bde243",

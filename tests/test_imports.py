@@ -189,6 +189,7 @@ def test_sieve_plots_leave_factorlab_out(tmp_path, what):
     "argv",
     [
         ("constants", "--k", "5000"),
+        ("constants", "--k", "3000000"),
         ("detect", "--seed-n", "1000000", "--d2", "20", "--length", "50"),
     ],
     ids=" ".join,
