@@ -29,8 +29,8 @@ _EXPORTS = {
         "newton_fit", "shift",
     ),
     "residues": (
-        "SixClass", "digit_sum", "divisibility_positions", "ending_alphabet", "residue_cycle",
-        "sd_profile", "six_classify",
+        "SixClass", "digit_sum", "digit_sum_gaps", "divisibility_positions", "ending_alphabet",
+        "residue_cycle", "six_classify",
     ),
     "spiral": (
         "C2", "SpiralPoint", "angle_between", "angle_increment", "delta_r", "estimate_c2",

@@ -19,7 +19,7 @@ def _verify_system(report: Report, system: ArmSystem) -> int:
     passed = 0
     for arm in system.arms:
         woes = [f"{f.rule}: {f.detail}" for f in failures if f.arm == arm.name]
-        period = residues.residue_cycle(arm.poly, 10).period
+        period = len(residues.residue_cycle(arm.poly, 10))
         if period not in residues.ENDING_PERIODS:
             woes.append(f"mod-10 period {period}")
         report.add(f"{system.name}/{arm.name}", not woes, "; ".join(woes))

@@ -19,18 +19,11 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-class NumberSpiralPoint(NamedTuple):
-    """Placement of a number on the number spiral; theta is in full rotations."""
-
-    r: float
-    theta_rotations: float
-
-
-def ns_polar(n: int) -> NumberSpiralPoint:
+def ns_polar(n: int) -> float:
+    """sqrt(n): both the radius of n on the number spiral and its angle in rotations."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rt = math.sqrt(n)
-    return NumberSpiralPoint(r=rt, theta_rotations=rt)
+    return math.sqrt(n)
 
 
 class UlamCoord(NamedTuple):
@@ -67,8 +60,7 @@ class OffsetCurve(NamedTuple):
     """Classification of a quadratic as a number-spiral offset/composite curve."""
 
     is_offset: bool  # leading coefficient is a perfect square
-    is_composite: bool  # offset curve with zero constant term
-    angle: "Fraction | None"  # rotation angle b/(2*sqrt(a)) when composite
+    angle: "Fraction | None"  # rotation angle b/(2*sqrt(a)) when composite (offset, c = 0)
 
 
 def classify_offset_curve(p: QuadPoly) -> OffsetCurve:
@@ -76,9 +68,8 @@ def classify_offset_curve(p: QuadPoly) -> OffsetCurve:
 
     root = math.isqrt(p.a) if p.a >= 0 else 0
     is_offset = p.a > 0 and root * root == p.a
-    is_composite = is_offset and p.c == 0
-    angle = Fraction(p.b, 2 * root) if is_composite else None
-    return OffsetCurve(is_offset=is_offset, is_composite=is_composite, angle=angle)
+    angle = Fraction(p.b, 2 * root) if is_offset and p.c == 0 else None
+    return OffsetCurve(is_offset=is_offset, angle=angle)
 
 
 def offset_curve_points(p: QuadPoly, count: int) -> list[tuple[float, float]]:

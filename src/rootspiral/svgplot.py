@@ -112,9 +112,9 @@ def plot_number_spiral(n: int) -> str:
     cv = _Canvas(math.sqrt(n) * 1.05 + 1.0)
     primes = set(primes_up_to(n))
     for k in range(n + 1):
-        pt = ns_polar(k)
-        ang = 2.0 * math.pi * pt.theta_rotations
-        x, y = pt.r * math.cos(ang), pt.r * math.sin(ang)
+        r = ns_polar(k)  # the radius, and the angle in rotations
+        ang = 2.0 * math.pi * r
+        x, y = r * math.cos(ang), r * math.sin(ang)
         if k in primes:
             cv.circle(x, y, 2.4, "#222222")
         else:

@@ -288,9 +288,11 @@ class TestRootClasses:
     @example(a=1, b=-10, c=25, q=9_973)  # one double root at 5
     def test_scan_matches_solve_below_10000(self, a, b, c, q):
         # the scan serves q < 10 000 with q not dividing a, and _solve the rest;
-        # here they must agree
+        # here they must agree, and with a search over every residue
         poly = QuadPoly(a, b, c)
-        assert root_classes(poly, q).roots == tuple(factorlab._solve(poly, q))
+        a, b, c = a % q, b % q, c % q
+        brute = tuple(t for t in range(q) if (a * t * t + b * t + c) % q == 0)
+        assert root_classes(poly, q).roots == tuple(factorlab._solve(poly, q)) == brute
 
     def test_requires_prime(self):
         # 10007 * 10009 is a composite past the scan range, where _mod_sqrt would run

@@ -36,9 +36,6 @@ EDGES = {
     "delta_r 0": (lambda: spiral.delta_r(0), ValueError("n must be >= 1")),
     "coprime_share of an empty window": (
         lambda: factorlab.density_scan(B3, 5, 5).coprime_share, 0.0),
-    "same_up_to_phase of the cycle read twice": (
-        lambda: residues.residue_cycle(B3, 10).same_up_to_phase(
-            residues.residue_cycle(B3, 10).cycle * 2), False),
     "primes_up_to 1": (lambda: primes_up_to(1), []),
 }
 

@@ -70,7 +70,7 @@ PUBLIC = """
     same_splitting load_fixtures composite_factor composite_params ns_polar
     offset_curve_points pronic_triangle_angle sqrt_spiral_counterparts ulam_coord ArmSystem
     QuadPoly coefficient_rules_check decimate differences extend newton_fit shift SixClass
-    digit_sum divisibility_positions ending_alphabet residue_cycle sd_profile six_classify C2
+    digit_sum digit_sum_gaps divisibility_positions ending_alphabet residue_cycle six_classify C2
     SpiralPoint angle_between angle_increment delta_r estimate_c2 polar_of square_arm_angle
     total_angle winding_gap
 """.split()
@@ -138,17 +138,31 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
     ]
 
 
+@pytest.fixture(scope="module")
+def command_run(tmp_path_factory):
+    """run_cli, launched once per COMMANDS entry; the two tests below read
+    the same run."""
+    runs = {}
+
+    def run(argv):
+        if argv not in runs:
+            runs[argv] = run_cli(tmp_path_factory.mktemp("cli"), argv)
+        return runs[argv]
+
+    return run
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_commands_without_angle_sums_leave_numpy_out(tmp_path, argv):
-    loaded, _ = run_cli(tmp_path, argv)
+def test_commands_without_angle_sums_leave_numpy_out(command_run, argv):
+    loaded, _ = command_run(argv)
     assert not loaded & {"numpy", "dataclasses", "inspect", "fractions"}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_each_command_loads_one_handler_and_parses_fixtures_only_if_it_reads_them(
-    tmp_path, argv
+    command_run, argv
 ):
-    loaded, parses = run_cli(tmp_path, argv)
+    loaded, parses = command_run(argv)
     handlers = {m for m in loaded if m.startswith("rootspiral.commands.")}
     assert handlers == {f"rootspiral.commands.{argv[0].replace('-', '_')}"}
     kind = argv[1] if argv[0] == "plot" else argv[0]

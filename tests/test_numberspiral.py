@@ -25,20 +25,17 @@ SQUARES = QuadPoly(1, 0, 0)
 
 class TestNsPolar:
     def test_origin(self):
-        pt = ns_polar(0)
-        assert (pt.r, pt.theta_rotations) == (0.0, 0.0)
+        assert ns_polar(0) == 0.0
 
     def test_square_on_ray(self):
-        pt = ns_polar(16)
-        assert (pt.r, pt.theta_rotations) == (4.0, 4.0)
+        assert ns_polar(16) == 4.0
 
     def test_definitional(self):
-        pt = ns_polar(2)
-        assert pt.r == pt.theta_rotations == math.sqrt(2)
+        assert ns_polar(2) == math.sqrt(2)
 
     def test_all_squares_at_integer_rotation(self):
         for m in range(1, 1001):
-            theta = ns_polar(m * m).theta_rotations
+            theta = ns_polar(m * m)
             assert abs(theta - round(theta)) < 1e-12 * max(1.0, theta)
 
     def test_domain(self):
@@ -113,11 +110,11 @@ class TestCompositeFactor:
 class TestClassify:
     def test_offset_flags(self):
         c = classify_offset_curve(QuadPoly(9, 2, 5))
-        assert c.is_offset and not c.is_composite and c.angle is None
+        assert c.is_offset and c.angle is None
 
     def test_composite_angle(self):
         c = classify_offset_curve(QuadPoly(9, 2, 0))
-        assert c.is_composite and c.angle == Fraction(1, 3)
+        assert c.is_offset and c.angle == Fraction(1, 3)
 
     def test_not_offset(self):
         assert not classify_offset_curve(QuadPoly(2, 0, 0)).is_offset

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from rootspiral import factorlab, numberspiral, quad, residues, spiral
+from rootspiral import factorlab, numberspiral, quad, spiral
 from rootspiral.fixtures import load_fixtures
 from rootspiral.report import Check, Report
 
@@ -39,11 +39,8 @@ def _samples():
         fx.windows[0],
         fx.k5_factors[0],
         fx,
-        numberspiral.ns_polar(17),
         numberspiral.ulam_coord(10),
         numberspiral.classify_offset_curve(quad.QuadPoly(1, 1, 0)),
-        residues.residue_cycle(poly, 10),
-        residues.sd_profile(poly),
         Check("plot", True, "wrote x.svg"),
         spiral.polar_of(17),
     ]
@@ -60,7 +57,7 @@ def test_every_public_record_type_has_a_sample():
         if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
         and obj.__module__ == f"rootspiral.{name}" and not obj.__name__.startswith("_")
     }
-    assert len(records) == 23
+    assert len(records) == 20
     assert {type(s) for s in SAMPLES} == records
 
 

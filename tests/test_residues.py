@@ -11,12 +11,11 @@ from rootspiral.quad import QuadPoly
 from rootspiral.residues import (
     ENDING_PERIODS,
     SixClass,
-    _digit_sum_gaps,
     digit_sum,
+    digit_sum_gaps,
     divisibility_positions,
     ending_alphabet,
     residue_cycle,
-    sd_profile,
     six_classify,
 )
 
@@ -30,31 +29,29 @@ K3 = QuadPoly(11, -19, 13)
 
 class TestResidueCycle:
     def test_a3_paper_ending_cycle(self):
-        cyc = residue_cycle(A3, 10)
-        assert cyc.period == 5
-        assert cyc.same_up_to_phase((9, 1, 1, 9, 5))
+        cycle = residue_cycle(A3, 10)
+        assert len(cycle) == 5
+        assert cycle in _rotations((9, 1, 1, 9, 5))
 
     def test_d8_family_constant_ending_seven(self):
-        cyc = residue_cycle(D8_FAMILY, 10)
-        assert cyc.period == 1
-        assert cyc.cycle == (7,)
+        assert residue_cycle(D8_FAMILY, 10) == (7,)
 
     def test_q3_paper_ending_cycle(self):
-        cyc = residue_cycle(Q3, 10)
-        assert set(cyc.cycle) == {1, 3, 7}
-        assert cyc.same_up_to_phase((3, 1, 1, 3, 7))
+        cycle = residue_cycle(Q3, 10)
+        assert set(cycle) == {1, 3, 7}
+        assert cycle in _rotations((3, 1, 1, 3, 7))
 
     def test_cycle_reproduces_stream(self):
-        cyc = residue_cycle(B3, 12)
+        cycle = residue_cycle(B3, 12)
         for i in range(60):
-            assert B3(1 + i) % 12 == cyc.cycle[i % cyc.period]
+            assert B3(1 + i) % 12 == cycle[i % len(cycle)]
 
     def test_period_divides_k_random(self):
         rng = random.Random(42)
         for _ in range(2000):
             p = QuadPoly(rng.randint(-30, 30), rng.randint(-99, 99), rng.randint(-99, 99))
             k = rng.randint(2, 100)
-            assert k % residue_cycle(p, k).period == 0
+            assert k % len(residue_cycle(p, k)) == 0
 
     def test_modulus_domain(self):
         with pytest.raises(ValueError):
@@ -89,6 +86,11 @@ def _rotations(cycle):
     return {tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle))}
 
 
+def _ordered_digit_sums(p, terms=25):
+    """The distinct digit sums of f(1 .. terms) in order, as the residues command lists them."""
+    return sorted({digit_sum(p(t)) for t in range(1, terms + 1)})
+
+
 def _gap_table(a, b):
     """The digit-sum gap cycle by completing the square (see README)."""
     if a % 3:
@@ -102,40 +104,39 @@ def _gap_table(a, b):
 
 class TestSdProfile:
     def test_a_family_step_three(self):
-        prof = sd_profile(QuadPoly(9, 3, -5))  # arm A2
-        assert prof.gaps == (3, 3, 3)
-        assert prof.ordered_distinct[:4] == (7, 10, 13, 16)
+        a2 = QuadPoly(9, 3, -5)
+        assert digit_sum_gaps(a2) == (3, 3, 3)
+        assert _ordered_digit_sums(a2)[:4] == [7, 10, 13, 16]
 
     def test_b_family_step_nine(self):
-        prof = sd_profile(QuadPoly(9, 9, -7))  # arm B1
-        assert prof.gaps == (9,)
-        assert prof.ordered_distinct == (2, 11, 20)
+        b1 = QuadPoly(9, 9, -7)
+        assert digit_sum_gaps(b1) == (9,)
+        assert _ordered_digit_sums(b1) == [2, 11, 20]
 
     def test_b3_step_nine(self):
-        assert sd_profile(B3).gaps == (9,)
+        assert digit_sum_gaps(B3) == (9,)
 
     def test_d2_20_cycle(self):
         # the paper prints the same cycle as (3,3,2,1)
-        prof = sd_profile(N20_D1)
-        assert prof.gaps == (1, 3, 3, 2)
-        assert prof.ordered_distinct == (7, 9, 10, 13, 16, 18, 19)
+        assert digit_sum_gaps(N20_D1) == (1, 3, 3, 2)
+        assert _ordered_digit_sums(N20_D1) == [7, 9, 10, 13, 16, 18, 19]
 
     def test_d2_22_cycle(self):
-        assert sd_profile(K3).gaps == (1, 2, 3, 3)
+        assert digit_sum_gaps(K3) == (1, 2, 3, 3)
 
     def test_window_skip_is_classified(self):
         # N20-F3 and N22-L1 skip one digit sum inside the 25-term window,
         # which merges two gaps; the image mod 9 classifies them anyway.
         f3, l1 = QuadPoly(10, -4, -5), QuadPoly(11, -21, 23)
         for p, cycle in ((f3, (1, 3, 3, 2)), (l1, (1, 2, 3, 3))):
-            prof = sd_profile(p)
-            steps = [b - a for a, b in zip(prof.ordered_distinct, prof.ordered_distinct[1:])]
+            ordered = _ordered_digit_sums(p)
+            steps = [b - a for a, b in zip(ordered, ordered[1:])]
             assert all(steps != (list(rot) * 9)[: len(steps)] for rot in _rotations(cycle))
-            assert prof.gaps == cycle
+            assert digit_sum_gaps(p) == cycle
 
     @given(st.integers(), st.integers(), st.integers())
     def test_gaps_follow_completing_the_square(self, a, b, c):
-        gaps = _digit_sum_gaps(QuadPoly(a, b, c))
+        gaps = digit_sum_gaps(QuadPoly(a, b, c))
         assert sum(gaps) == 9
         assert gaps == min(_rotations(gaps))
         assert gaps == _gap_table(a, b)
@@ -147,12 +148,12 @@ class TestSdProfile:
         fx = load_fixtures()
         for system in fx.systems + fx.extras:
             for arm in system.arms:
-                image = set(residue_cycle(arm.poly, 9).cycle)
+                image = set(residue_cycle(arm.poly, 9))
                 seen = {digit_sum(arm.poly(x)) for x in range(1, 2001)}
                 window = sorted(s for s in seen if 10 <= s <= 45)
                 assert window == [s for s in range(10, 46) if s % 9 in image], arm.name
                 steps = [b - a for a, b in zip(window, window[1:])]
-                gaps = sd_profile(arm.poly).gaps
+                gaps = digit_sum_gaps(arm.poly)
                 n = len(gaps)
                 assert tuple(steps[:n]) in _rotations(gaps), arm.name
                 assert steps == (steps[:n] * 36)[: len(steps)], arm.name
@@ -162,7 +163,7 @@ class TestSdProfile:
         by_d2 = {}
         for system in fx.systems + fx.extras:
             for arm in system.arms:
-                gaps = sd_profile(arm.poly).gaps
+                gaps = digit_sum_gaps(arm.poly)
                 by_d2.setdefault(system.d2, []).append(gaps)
         assert sorted(by_d2) == [2, 18, 20, 22]
         assert sorted(by_d2[18]) == [(3, 3, 3)] * 26 + [(9,)] * 14
@@ -170,39 +171,31 @@ class TestSdProfile:
         assert set(by_d2[20]) == {(1, 3, 3, 2)} and len(by_d2[20]) == 36
         assert set(by_d2[22]) == {(1, 2, 3, 3)} and len(by_d2[22]) == 34
 
-    def test_sd_values_are_digit_sums(self):
-        prof = sd_profile(A3, 10)
-        assert prof.sd_values == tuple(digit_sum(A3(t)) for t in range(1, 11))
-
-    def test_minimum_terms(self):
-        with pytest.raises(ValueError):
-            sd_profile(A3, 4)
-
     def test_nine_divisible_lead_coefficient_cycles_shortly(self):
         fx = load_fixtures()
         for system in fx.systems:
             if system.d2 != 18:
                 continue
             for arm in system.arms:
-                assert residue_cycle(arm.poly, 9).period <= 3
+                assert len(residue_cycle(arm.poly, 9)) <= 3
 
 
 class TestDivisibilityPositions:
     def test_a3_every_fifth_divisible_by_five(self):
         assert len(divisibility_positions(A3, 5)) == 1
-        assert residue_cycle(A3, 5).period == 5
+        assert len(residue_cycle(A3, 5)) == 5
 
     def test_k2_every_third_divisible_by_three(self):
         k2 = QuadPoly(11, -19, 17)  # f(1) = 9
         assert divisibility_positions(k2, 3) == {1}
-        assert residue_cycle(k2, 3).period == 3
+        assert len(residue_cycle(k2, 3)) == 3
 
     def test_arm_indices_match_brute_force(self):
         fx = load_fixtures()
         for system in fx.systems + fx.extras:
             for arm in system.arms:
                 for k in (2, 3, 5):
-                    period = residue_cycle(arm.poly, k).period
+                    period = len(residue_cycle(arm.poly, k))
                     want = {x for x in range(1, period + 1) if arm.poly(x) % k == 0}
                     assert divisibility_positions(arm.poly, k) == want, (arm.name, k)
 
@@ -231,7 +224,7 @@ class TestSixClassify:
         fx = load_fixtures()
         for system in fx.systems + fx.extras:
             for arm in system.arms:
-                period = residue_cycle(arm.poly, 6).period
+                period = len(residue_cycle(arm.poly, 6))
                 assert 6 % period == 0
                 stream = [six_classify(arm.poly(t)) for t in range(1, 1 + 2 * period)]
                 assert stream[:period] == stream[period:]
@@ -241,4 +234,4 @@ def test_all_fixture_arms_have_mod10_period_one_or_five():
     fx = load_fixtures()
     for system in fx.systems + fx.extras:
         for arm in system.arms:
-            assert residue_cycle(arm.poly, 10).period in ENDING_PERIODS, f"{system.name}/{arm.name}"
+            assert len(residue_cycle(arm.poly, 10)) in ENDING_PERIODS, f"{system.name}/{arm.name}"
