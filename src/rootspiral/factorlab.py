@@ -15,29 +15,58 @@ from . import quad
 from .quad import VALUE_LIMIT, QuadPoly
 from .sieve import primes_up_to
 
-# Deterministic Miller-Rabin witness set and, aligned with it, the bound below
-# which the witnesses before each one already decide primality.  _MR_BOUNDS[k]
-# for k >= 1 is OEIS A014233(k), the least strong pseudoprime to the first k
-# witnesses (Jaeschke, Math. Comp. 61, 1993); _MR_BOUNDS[0] = 41^2, since an n
-# below it with no prime factor up to 37 is prime.  The last bound, _MR_LIMIT
-# = 399165290221 * 798330580441 ~ 3.19e23, is where all twelve stop being enough.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUNDS = (
-    1_681,
-    2_047,
-    1_373_653,
-    25_326_001,
-    3_215_031_751,
-    2_152_302_898_747,
-    3_474_749_660_383,
-    341_550_071_728_321,
-    341_550_071_728_321,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461,
+# Deterministic Miller-Rabin, as in sympy.ntheory.primetest.isprime (sympy 1.14,
+# step 2): _MR_TIERS holds (bound, bases) pairs, and the bases of the first
+# bound above n decide whether n is prime.  The sets below 2^64 are the
+# shortest published ones (miller-rabin.appspot.com; the 7-base set is Jim
+# Sinclair's), used there, as here, only on n with no prime factor up to 47.
+# Below 4296595241 one base does, picked from _MR_BASES_32 by a hash of n
+# (Forisek and Jancina, "Fast Primality Testing for Integers That Fit into a
+# Machine Word", 2015).  From 2^64 the bases are the twelve primes 2..37, which
+# decide every n below _MR_LIMIT = 399165290221 * 798330580441 ~ 3.19e23, the
+# least strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
+# Comp. 61, 1993).  A base at or above n is reduced mod n, and one that
+# reduces below 2 is skipped.
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+_MR_BASES_32 = (
+    15591, 2018, 166, 7429, 8064, 16045, 10503, 4399, 1949, 1295, 2776, 3620, 560, 3128,
+    5212, 2657, 2300, 2021, 4652, 1471, 9336, 4018, 2398, 20462, 10277, 8028, 2213,
+    6219, 620, 3763, 4852, 5012, 3185, 1333, 6227, 5298, 1074, 2391, 5113, 7061, 803,
+    1269, 3875, 422, 751, 580, 4729, 10239, 746, 2951, 556, 2206, 3778, 481, 1522, 3476,
+    481, 2487, 3266, 5633, 488, 3373, 6441, 3344, 17, 15105, 1490, 4154, 2036, 1882,
+    1813, 467, 3307, 14042, 6371, 658, 1005, 903, 737, 1887, 7447, 1888, 2848, 1784,
+    7559, 3400, 951, 13969, 4304, 177, 41, 19875, 3110, 13221, 8726, 571, 7043, 6943,
+    1199, 352, 6435, 165, 1169, 3315, 978, 233, 3003, 2562, 2994, 10587, 10030, 2377,
+    1902, 5354, 4447, 1555, 263, 27027, 2283, 305, 669, 1912, 601, 6186, 429, 1930,
+    14873, 1784, 1661, 524, 3577, 236, 2360, 6146, 2850, 55637, 1753, 4178, 8466, 222,
+    2579, 2743, 2031, 2226, 2276, 374, 2132, 813, 23788, 1610, 4422, 5159, 1725, 3597,
+    3366, 14336, 579, 165, 1375, 10018, 12616, 9816, 1371, 536, 1867, 10864, 857, 2206,
+    5788, 434, 8085, 17618, 727, 3639, 1595, 4944, 2129, 2029, 8195, 8344, 6232, 9183,
+    8126, 1870, 3296, 7455, 8947, 25017, 541, 19115, 368, 566, 5674, 411, 522, 1027,
+    8215, 2050, 6544, 10049, 614, 774, 2333, 3007, 35201, 4706, 1152, 1785, 1028, 1540,
+    3743, 493, 4474, 2521, 26845, 8354, 864, 18915, 5465, 2447, 42, 4511, 1660, 166,
+    1249, 6259, 2553, 304, 272, 7286, 73, 6554, 899, 2816, 5197, 13330, 7054, 2818,
+    3199, 811, 922, 350, 7514, 4452, 3449, 2663, 4708, 418, 1621, 1171, 3471, 88, 11345,
+    412, 1559, 194,
 )
-_MR_LIMIT = _MR_BOUNDS[-1]
+_MR_TIERS = (
+    (53 * 53, ()),  # an n below 53^2 with no prime factor up to 47 is prime
+    (341_531, (9345883071009581737,)),
+    (4_296_595_241, _MR_BASES_32),
+    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7_999_252_175_582_851, (
+        2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805,
+    )),
+    (585_226_005_592_931_977, (
+        2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
+        1263739024124850375,
+    )),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+)
+_MR_LIMIT = _MR_TIERS[-1][0]
 # Pollard rho steps (squarings of y) one factor search may take.  A value below
 # 2^63 has a factor below 2^31.5, found within 2^18 steps in every one of 300
 # balanced semiprimes tried near 2^62; the budget is 64 times that.  It splits
@@ -56,30 +85,38 @@ _TRIAL_PRIMES = tuple(primes_up_to(1000))
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below _MR_LIMIT ~ 3.19e23.
 
-    After trial division by the witnesses 2..37, the witnesses run in order
-    and n is prime as soon as it lies below the bound of the prefix that has
-    passed: below 41^2 = 1681 with none, below 2047 after base 2, below
-    3215031751 after bases 2..7, and every base only from 3825123056546413051
-    on (OEIS A014233).  A 'composite' answer is exact for every n.  From
-    _MR_LIMIT = 318665857834031151167461 on, the first n that the twelve
-    witnesses wrongly call prime, an n that passes them all raises
-    OverflowError.
+    One gcd with the product of the primes up to 47 replaces trial division.
+    An n below 53^2 that survives it is prime; above, n runs the Miller-Rabin
+    bases of its tier (_MR_TIERS, sympy's isprime step 2): one base below
+    341531, one base hashed from n below 4296595241 (Forisek and Jancina,
+    2015), then 3 to 7 bases up to 2^64 and the
+    twelve primes 2..37 up to _MR_LIMIT (OEIS A014233).  A 'composite'
+    answer is exact for every n.  From _MR_LIMIT = 318665857834031151167461
+    on, the first n that the twelve primes wrongly call prime, an n that
+    passes them all raises OverflowError.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n < 2:
         return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
+    for bound, bases in _MR_TIERS:  # from _MR_LIMIT on, the last tier's bases
+        if n < bound:
+            break
+    if bases is _MR_BASES_32:
+        h = ((n >> 16) ^ n) * 0x45D9F3B
+        h = ((h >> 16) ^ h) * 0x45D9F3B
+        bases = (_MR_BASES_32[((h >> 16) ^ h) & 255],)
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
-        if n < bound:
-            return True
+    for a in bases:
+        a %= n
+        if a < 2:
+            continue
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -115,7 +152,7 @@ def _pollard_brent(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # a sign changes no gcd with n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -123,7 +160,7 @@ def _pollard_brent(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover

@@ -72,11 +72,10 @@ class _Canvas:
 
 def _sqrt_xy(ns: Iterable[int]) -> Iterator[tuple[float, float]]:
     """Plane positions of the integers ns on the square-root spiral."""
-    from .spiral import polar_of
+    from .spiral import total_angle
 
     for n in ns:
-        pt = polar_of(n)
-        r, phi = pt.radius, pt.angle_total
+        r, phi = math.sqrt(n), total_angle(n)
         yield r * math.cos(phi), r * math.sin(phi)
 
 

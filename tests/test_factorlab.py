@@ -1,5 +1,6 @@
 """Primality, factorization, root classes, density scans, chain detection."""
 
+import hashlib
 import math
 import random
 
@@ -49,8 +50,7 @@ class TestIsPrime:
         assert not is_prime(1)
 
     def test_against_sieve(self):
-        # covers every n below the k = 2 bound, so also the base-2 band, whose
-        # bound 2047 = 23 * 89 trial division catches on its own
+        # every n of the first two tiers: none below 53^2, one base below 341531
         flags = set(primes_up_to(2 * 10**6))
         for n in range(1, 2 * 10**6):
             assert is_prime(n) == (n in flags), n
@@ -108,42 +108,132 @@ A014233 = (
     341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
     3825123056546413051, 318665857834031151167461,
 )
-_BANDS = [(lo, hi) for lo, hi in zip(factorlab._MR_BOUNDS, factorlab._MR_BOUNDS[1:]) if lo < hi]
+A014233_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def a014233_is_prime(n: int) -> bool:
+    """The oracle: trial division by 2..37, then the first k primes as bases,
+    exact below A014233(k) (Jaeschke, 1993).  It shares no table with is_prime
+    below 2^64, unlike sympy's isprime, which uses the same tiers."""
+    if n < 2:
+        return False
+    for p in A014233_WITNESSES:
+        if n % p == 0:
+            return n == p
+    if n < 41 * 41:
+        return True
+    for a, bound in zip(A014233_WITNESSES, A014233):
+        if not _strong_probable_prime(n, a):
+            return False
+        if n < bound:
+            return True
+    raise OverflowError(n)
+
+
+_TIERS = [  # (lo, hi, bases): the bases decide every n in [lo, hi)
+    (lo, hi, bases) for (lo, _), (hi, bases) in zip(factorlab._MR_TIERS, factorlab._MR_TIERS[1:])
+]
+_BANDS = sorted(
+    {(lo, hi) for lo, hi in zip((41 * 41, *A014233), A014233) if lo < hi}
+    | {(lo, hi) for lo, hi, _ in _TIERS}
+)
+
+# the tiers with a base at or above their lower bound, and those bases
+_LARGE_BASES = [(lo, hi, tuple(a for a in bases if a >= lo)) for lo, hi, bases in _TIERS]
+_LARGE_BASES = [t for t in _LARGE_BASES if t[2]]
+
+
+def _check_against_oracles(n: int) -> None:
+    if n >= factorlab._MR_LIMIT and (n == factorlab._MR_LIMIT or sympy.isprime(n)):
+        with pytest.raises(OverflowError):
+            is_prime(n)
+    else:
+        assert is_prime(n) == sympy.isprime(n), n
+        if n < factorlab._MR_LIMIT:
+            assert is_prime(n) == a014233_is_prime(n), n
 
 
 class TestWitnessSchedule:
     def test_each_value_is_a_strong_pseudoprime_to_its_prefix(self):
         for k, n in enumerate(A014233, 1):
             assert not sympy.isprime(n), n
-            assert all(_strong_probable_prime(n, a) for a in factorlab._MR_WITNESSES[:k]), k
+            assert all(_strong_probable_prime(n, a) for a in A014233_WITNESSES[:k]), k
 
-    def test_bounds_are_a014233_after_41_squared(self):
-        assert factorlab._MR_BOUNDS == (41 * 41, *A014233)
+    def test_tier_bounds(self):
+        # sympy 1.14, sympy/ntheory/primetest.py, isprime step 2; the last is A014233(12)
+        assert [bound for bound, _ in factorlab._MR_TIERS] == [
+            53 * 53, 341531, 4296595241, 350269456337, 55245642489451, 7999252175582851,
+            585226005592931977, 2**64, A014233[-1],
+        ]
         assert factorlab._MR_LIMIT == A014233[-1]
+        assert factorlab._MR_TIERS[-1][1] == A014233_WITNESSES
+        assert [len(bases) for _, bases in factorlab._MR_TIERS] == [0, 1, 256, 3, 4, 5, 6, 7, 12]
+        # every base of every tier: no test input is known to fail a set short of one base
+        digest = hashlib.sha256(repr(factorlab._MR_TIERS).encode()).hexdigest()
+        assert digest == "4244fff3e1a1288d9c7dd02220f3ba8f0f0e48ee0070c84ebd788c454f49c1e7"
+
+    def test_hashed_base_table(self):
+        # Forisek and Jancina (2015), as sympy/ntheory/primetest.py copies it
+        digest = hashlib.sha256(",".join(map(str, factorlab._MR_BASES_32)).encode()).hexdigest()
+        assert digest == "3be1940d44befaf6e36abef6570e1220ba84ad741de524bbfb19e8b97257364e"
 
     @pytest.mark.parametrize("k", range(1, 12))
     def test_pseudoprime_to_the_first_k_bases_is_composite(self, k):
-        # a k-th bound larger than A014233(k) would return before witness k+1
         assert is_prime(A014233[k - 1]) is False
 
-    @pytest.mark.parametrize("bound", [41 * 41, *sorted(set(A014233))])
+    @pytest.mark.parametrize(
+        "bound", sorted({41 * 41, *A014233} | {bound for bound, _ in factorlab._MR_TIERS})
+    )
     def test_agrees_with_sympy_around_each_bound(self, bound):
-        for n in range(bound - 201, bound + 201, 2):
-            if n >= factorlab._MR_LIMIT and (n == factorlab._MR_LIMIT or sympy.isprime(n)):
-                with pytest.raises(OverflowError):
-                    is_prime(n)
-            else:
-                assert is_prime(n) == sympy.isprime(n), n
+        for n in range(bound - 200, bound + 201):
+            _check_against_oracles(n)
 
     @pytest.mark.parametrize("lo, hi", _BANDS)
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_agrees_with_sympy_within_each_witness_band(self, lo, hi, data):
         n = data.draw(st.integers(lo, hi - 1), label="n")
+        _check_against_oracles(n)
         p = sympy.nextprime(n)
-        assert is_prime(n) == sympy.isprime(n)
         if p < hi:
             assert is_prime(p)
+
+    @pytest.mark.parametrize(
+        "lo, hi, bases", _LARGE_BASES, ids=[f"{lo}-{hi}" for lo, hi, _ in _LARGE_BASES]
+    )
+    def test_divisors_of_each_large_base_and_its_neighbours(self, lo, hi, bases):
+        # A base that n divides reduces to 0 and is skipped, one that is 1 mod
+        # n is skipped, and one that is -1 mod n passes every n: inside the
+        # tier the other bases must decide.  A multiple of a prime factor of a
+        # base shares that factor with it, so the base alone proves it composite.
+        checked = 0
+        for a in bases:
+            for m in (a - 1, a, a + 1):
+                for n in sympy.divisors(m):
+                    if lo <= n < hi:
+                        _check_against_oracles(n)
+                        checked += 1
+            for p in sympy.primefactors(a):
+                for q in (p, *sympy.primerange(53, 200)):
+                    if lo <= p * q < hi:
+                        _check_against_oracles(p * q)
+                        checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo, hi, _ in _TIERS])
+    def test_chernick_carmichael_numbers_are_composite(self, lo, hi):
+        # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael number,
+        # a Fermat pseudoprime to every coprime base: up to five in the tier
+        k = max(1, round((lo / 1296) ** (1 / 3)) - 1)
+        found = []
+        while len(found) < 5 and (6 * k + 1) ** 3 < hi:
+            f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+            if lo <= math.prod(f) < hi and all(sympy.isprime(p) for p in f):
+                found.append(math.prod(f))
+            k += 1
+        assert found
+        for n in found:
+            assert is_prime(n) is False, n
 
 
 class TestFactorize:
