@@ -23,7 +23,7 @@ from .quad import Arm, ArmSystem, QuadPoly
 WINDOW_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 
 # Most terms one density window or factors --window may scan: near 2^63 Pollard
-# rho costs ~1.1 ms a term, so a full window there takes 11-12 s (2-vCPU VM).
+# rho costs ~1 ms a term, so a full window there takes 9-13 s (2-vCPU VM).
 MAX_SCAN = 10**4
 
 # the source tables and the system-name prefixes of their arms

@@ -1,5 +1,6 @@
 """Primality, factorization, root classes, density scans, chain detection."""
 
+import collections
 import hashlib
 import math
 import random
@@ -24,7 +25,7 @@ from rootspiral.factorlab import (
     same_splitting,
 )
 from rootspiral.fixtures import load_fixtures
-from rootspiral.quad import QuadPoly
+from rootspiral.quad import VALUE_LIMIT, QuadPoly
 
 A3 = QuadPoly(9, 3, -1)
 B3 = QuadPoly(9, 9, -1)
@@ -269,9 +270,24 @@ class TestFactorize:
         n = sympy.nextprime(10**12) * sympy.nextprime(2 * 10**12)  # ~2e24, balanced
         monkeypatch.setattr(factorlab, "_RHO_BUDGET", 1 << 10)
         with pytest.raises(ArithmeticError, match=f"no factor of {n} in 1024 steps"):
-            factorlab._pollard_brent(n)
+            factorlab._pollard_brent([n])
         with pytest.raises(ArithmeticError, match=str(n)):
             factorize(n)
+
+    def test_rho_budget_is_per_cofactor(self, monkeypatch):
+        # 1009 * 1013 splits well inside the budget and leaves the walk; the
+        # other member walks on alone and raises, in either order
+        n = sympy.nextprime(10**12) * sympy.nextprime(2 * 10**12)
+        m = sympy.nextprime(3 * 10**12) * sympy.nextprime(4 * 10**12)
+        monkeypatch.setattr(factorlab, "_RHO_BUDGET", 1 << 10)
+        assert _oracle_pollard_brent(1009 * 1013) in (1009, 1013)
+        for batch in ([1009 * 1013, n], [n, 1009 * 1013]):
+            with pytest.raises(ArithmeticError, match=f"no factor of {n} in 1024 steps"):
+                factorlab._pollard_brent(batch)
+        # of two that both run out, the first given is named
+        for first, second in ((n, m), (m, n)):
+            with pytest.raises(ArithmeticError, match=f"no factor of {first} in"):
+                factorlab._pollard_brent([1009 * 1013, first, second])
 
     def test_rho_budget_is_far_above_64_bit_needs(self, monkeypatch):
         # the deepest splits below 2^63, two primes near 2^31.5, fit in 1/64 of it
@@ -284,6 +300,110 @@ class TestFactorize:
     def test_domain(self):
         with pytest.raises(ValueError):
             factorize(1)
+
+
+def _oracle_pollard_brent(n: int, paths: collections.Counter | None = None) -> int:
+    """The single-n Brent walk that factorlab._pollard_brent batches, as it
+    stood before the batching.  paths, when given, counts how often a block
+    gcd hits n ("backtrack") and the backtrack hits n again ("next c")."""
+    paths = collections.Counter() if paths is None else paths
+    steps = 0
+    for c in range(1, 100):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            steps += 2 * r  # this round walks y at most 2r steps
+            if steps > factorlab._RHO_BUDGET:
+                raise ArithmeticError(f"Pollard rho found no factor of {n}")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n  # a sign changes no gcd with n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            paths["backtrack"] += 1
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+        paths["next c"] += 1
+    raise ArithmeticError(f"rho failed to split {n}")
+
+
+# primes of 11 to 32 bits, and small odd primes whose products often make a
+# block gcd take every factor of n at once
+_RHO_PRIMES = st.integers(1 << 10, (1 << 32) - 6).map(sympy.nextprime)
+_SMALL_ODD_PRIMES = st.sampled_from(list(sympy.primerange(3, 60)))
+
+
+@st.composite
+def _rho_batches(draw) -> list[int]:
+    """Odd composites of 2 or 3 primes from one shared pool, so members share
+    primes, repeat a prime (squares, cubes) or repeat whole; and at times a
+    member times a pool prime, which that member divides."""
+    pool = draw(st.lists(st.one_of(_RHO_PRIMES, _SMALL_ODD_PRIMES), min_size=1, max_size=5))
+    members = draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=2, max_size=3).map(math.prod),
+        min_size=1, max_size=8,
+    ))
+    if draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)) * draw(st.sampled_from(pool)))
+    if draw(st.booleans()):
+        members.append(draw(st.sampled_from(members)))
+    return draw(st.permutations(members))
+
+
+class TestBatchedRho:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=_rho_batches())
+    @example(batch=[15, 21, 25, 27, 45, 49, 15])
+    @example(batch=[1031 * 1033, 1031 * 1039, 1031**2, 1031**2 * 1033])
+    def test_each_member_gets_the_single_walk_factor(self, batch):
+        assert factorlab._pollard_brent(batch) == [_oracle_pollard_brent(n) for n in batch]
+
+    def test_small_odd_composites_with_backtrack_and_next_c(self):
+        # below 3000, block gcds often take all of n: both fallbacks run
+        batch = [n for n in range(9, 3000, 2) if not is_prime(n)]
+        paths: collections.Counter = collections.Counter()
+        expected = [_oracle_pollard_brent(n, paths) for n in batch]
+        assert paths["backtrack"] > paths["next c"] > 0
+        assert factorlab._pollard_brent(batch) == expected
+        assert factorlab._pollard_brent(batch[::-1]) == expected[::-1]
+
+    def test_batches_past_the_cap(self, monkeypatch):
+        # with a cap of two, the four distinct members walk in two groups
+        monkeypatch.setattr(factorlab, "_RHO_BATCH", 2)
+        batch = [15, 1031 * 1033, 49, 2021, 15]
+        assert factorlab._pollard_brent(batch) == [_oracle_pollard_brent(n) for n in batch]
+
+    def test_no_cofactors(self):
+        assert factorlab._pollard_brent([]) == []
+
+    @pytest.mark.parametrize("poly", [B3, Q3, G1], ids=["B3", "Q3", "G1"])
+    def test_density_scan_near_the_limit_is_per_value_factorize(self, poly):
+        # three 45-term windows ending within 10^6 indices of the 2^63 limit
+        last = math.isqrt(VALUE_LIMIT // poly.a)  # then the largest x with poly(x) <= 2^63
+        while poly(last + 1) <= VALUE_LIMIT:
+            last += 1
+        while poly(last) > VALUE_LIMIT:
+            last -= 1
+        rng = random.Random(poly.c)
+        for _ in range(3):
+            x1 = last + 1 - rng.randrange(10**6)
+            records = density_scan(poly, x1 - 45, x1).records
+            for rec in records:
+                assert rec.value == poly(rec.x)
+                assert rec.prime == is_prime(rec.value)
+                assert rec.factorization == (None if rec.prime else factorize(rec.value))
 
 
 class TestModSqrt:
