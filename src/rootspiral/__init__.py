@@ -29,12 +29,12 @@ _EXPORTS = {
         "newton_fit", "shift",
     ),
     "residues": (
-        "SixClass", "digit_sum", "digit_sum_gaps", "divisibility_positions", "ending_alphabet",
-        "residue_cycle", "six_classify",
+        "SixClass", "digit_sum", "digit_sum_gaps", "divisibility_positions", "residue_cycle",
+        "six_classify",
     ),
     "spiral": (
-        "C2", "SpiralPoint", "angle_between", "angle_increment", "delta_r", "estimate_c2",
-        "polar_of", "square_arm_angle", "total_angle", "winding_gap",
+        "C2", "SpiralPoint", "angle_between", "angle_increment", "estimate_c2", "polar_of",
+        "square_arm_angle", "total_angle", "winding_gap",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residues", help="ending cycles and digit-sum profile of an arm")
     p.add_argument("arm")
-    # digit sums cost str() of each value: 10^4 terms of an arm take ~0.1 s, of
-    # a literal with a 4200-digit coefficient ~13 s
+    # digit sums cost str() of each value, and QuadPoly.parse caps a literal's
+    # coefficients at 2^63: 10^4 terms of the largest literal take ~0.05 s (2-vCPU VM)
     p.add_argument("--terms", type=_int_at_least(5, 10**4), default=25)
     _add_common(p)
 

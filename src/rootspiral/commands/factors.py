@@ -5,12 +5,15 @@ import argparse
 from .. import factorlab
 from ..fixtures import load_fixtures
 from ..report import Report
-from . import resolve_poly, window_bounds
+from . import SystemExit2, resolve_poly, window_bounds
 
 
 def run(args: argparse.Namespace) -> Report:
     fx = load_fixtures(args.fixture_file)
     name, poly = resolve_poly(fx, args.arm)
+    # a zero --compare arm stays legal: same_splitting stops at the arm's first non-root
+    if not any(poly):
+        raise SystemExit2(f"{name} is the zero polynomial: every residue is a root of every prime")
     report = Report(
         command="factors",
         inputs={"arm": name, "poly": str(poly), "bound": args.bound, "window": args.window},

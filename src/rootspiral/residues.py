@@ -37,11 +37,6 @@ def residue_cycle(p: QuadPoly, k: int) -> tuple[int, ...]:
     return tuple(p(t) % k for t in range(1, period + 1))
 
 
-def ending_alphabet(p: QuadPoly) -> set[int]:
-    """Set of last digits occurring in the value sequence."""
-    return set(residue_cycle(p, 10))
-
-
 def digit_sum(n: int) -> int:
     """Base-10 digit sum."""
     if n < 0:

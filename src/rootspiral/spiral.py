@@ -257,13 +257,6 @@ def square_arm_angle(m: int) -> float:
     return math.degrees(_span(m * m, (m + 1) * (m + 1))) % 360.0
 
 
-def delta_r(n: int) -> float:
-    """Radial growth sqrt(n+1) - sqrt(n) of one triangle step."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return math.sqrt(n + 1) - math.sqrt(n)
-
-
 def appendix_angle_deg(n: int) -> float:
     """Bearing of ray sqrt(n) measured as 360 - (total angle mod 360) degrees.
 

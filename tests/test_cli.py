@@ -1,18 +1,23 @@
 """CLI: subcommand behaviour, exit codes, deterministic output."""
 
+import argparse
 import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import cli_corpus
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rootspiral
 from rootspiral import factorlab, spiral
-from rootspiral.cli import build_parser, main
+from rootspiral.cli import _window, build_parser, main
 from rootspiral.commands.density import _first_reaching
 from rootspiral.fixtures import fixture_text
 from rootspiral.quad import QuadPoly
@@ -480,6 +485,7 @@ class TestUsageErrors:
             ("factors", "--bound", "7", "--window", "1999995000..2000005000",
              "--", "-1,4000000000,5223372036854775818"),
             ("plot", "arms", "--system", "NOPE"),
+            ("factors", "0,0,0", "--bound", "10000000"),  # every residue a root of every prime
         ],
         ids=" ".join,
     )
@@ -613,50 +619,97 @@ class TestUsageErrors:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message)
 
 
-def test_reports_byte_identical_across_runs(capsys):
-    _, first = run(capsys, "--json", "density", "B3", "--at", "2.5e9")
-    _, second = run(capsys, "--json", "density", "B3", "--at", "2.5e9")
-    assert first == second
+def test_cli_corpus_bytes_unchanged():
+    pinned = cli_corpus.read()
+    current = {shlex.join(argv): cli_corpus.outcome(argv) for argv in cli_corpus.invocations()}
+    moved = sorted(argv for argv in pinned.keys() | current.keys()
+                   if pinned.get(argv) != current.get(argv))
+    assert not moved, (
+        f"{len(moved)} invocations moved (python tests/cli_corpus.py rewrites the corpus):\n"
+        + "\n".join(moved)
+    )
 
 
-# sha256 of the --json stdout of the README commands whose reports hold no
-# transcendental float, of density at every fixture window, of factors up to
-# 9973, the largest prime root_classes scans, and on to 20 000, and of literals
-# that take each root-class case at small q: every residue a root (30,60,90 at
-# 2, 3 and 5), none with q | a and b (30030,7,-1 at 7), one linear root (7,3,5
-# at 7) and two roots (7,3,5 at 3 and 5).  A change that moves one byte of
-# these reports fails here
-GOLDEN_JSON_SHA256 = {
-    "verify-tables --which all": "6f2add98e0d44c7febe389a6ba65b5f888a7cee390d27f404810d96a18adc48b",
-    "factors B3 --bound 61": "412cc1ac4d370603edde3b62d5785df8b52725cd40e19ce7afcc8a7943286488",
-    "factors B3 --bound 9973": "b62a70c51958f9a53afb6b89ae42081a965a2f9411fef4b54bbb19c3857c4d40",
-    "factors B3 --bound 20000": "23fe817bfb008305d23e2e28278868e860432dbe6991e0eabaf2aa0f8e9bf7ee",
-    "factors 30,60,90 --bound 7": "48100709394ab13087cd7367ca34a39d3db5bffa2a8e096d4ff2d6db1a40740c",
-    "factors 7,3,5 --bound 7": "3570bed499899be6766cd5cc97960e25b852384f6a0e26813c5b69c6a2beb9ff",
-    "factors 30030,7,-1 --bound 500": "dc7e873ba5fd6ad858eea939a141db8beec474ba2a30130b5382a15181e6af89",
-    "factors Q3 --compare S1": "57dcea56120108f07e06c3f2f604fcc896a7daaff6bf0f314550cb8aa4e877e1",
-    "factors K5 --window 1..6": "d7abb3ef9ccf67d2a33af66a6fb302b5d2bc1b66e67c0ced8653953777bde243",
-    "residues Q3": "8a11efb0b415e39683371abe17f23f8eee9b1a28a138e127e72c595e65eff899",
-    "density P18-B/B3 --at start": "ed3369f0f6d95af41afc3e9bc6f0ae33ac2db278c0029ea7e142e473251f115b",
-    "density P18-B/B3 --at 2.5e6": "d10b22a53940e2c289d54b3b3bd1dc1ae8e5e742e25d8de4d918c16ea2e3231e",
-    "density P18-B/B3 --at 2.5e7": "d58dcab3a8c8fa828b2a047639556554c01cbf1c8614fdf7f647844943f1a25c",
-    "density P18-B/B3 --at 2.5e8": "2b8b9c87eb732657fcbc01eb3949e382bed42ff454580cbf6364c5ea68db0858",
-    "density P18-B/B3 --at 2.5e9": "9315882d782a5d0a20856546e1b48641817dee3a36307112ff5497d99a1e10ab",
-    "density N22-Q/Q3 --at start": "82c49dff0e06be13aeaed65060bdb45c3edfd084abbd0606531effde1f3ee14f",
-    "density N22-Q/Q3 --at 2.5e6": "3afa5710ad8e0bea184dcb97f56620ae9f62c5664eb6ec25a5bf51d6fbe82b51",
-    "density N22-Q/Q3 --at 2.5e7": "d4a009a37396a7a714eee183ff8be691369c4d1a6c54f34d3cd19c110ffe76a9",
-    "density N22-Q/Q3 --at 2.5e8": "f370b4c87d5b9780aa80a3a8e18423ca8000e9f91d4c4956e74e2d141d6d0330",
-    "density N22-Q/Q3 --at 2.5e9": "11fc773af0215de9799df9c0c1640135612956fa934cfb8c50cd3a4f701bd3b4",
-    "density P20-G/G1 --at start": "cf8ce317ea7d449478ef7efd70ae37c687055927a9dd52b455a89703adfbf06c",
-    "density P20-G/G1 --at 2.5e6": "c4834081ff19ffe0339793f2e8dec3d85fe0b9ceb31fd9f1987ca98904cf4f55",
-    "density P20-G/G1 --at 2.5e7": "4e7758be4deb44350f9797d48ed225eb050ebf5e40d05f3e518cc8611dea3188",
-    "density P20-G/G1 --at 2.5e8": "ce1dfca15a51b54257beec3b9edde551c1e10ae2045845f5ef065dc7a9133bb9",
-    "density P20-G/G1 --at 2.5e9": "9109068837cd810690a766b28b98deb3ee687cc16b15ca6b0275f1e5edb2dbbb",
+# The argv grammar, read from build_parser(): each subcommand's positionals
+# and options, drawn from their choices and bounds.  Numbers are capped per
+# option (dest -> largest value drawn inside the bound) so that every run
+# takes milliseconds; the values just past each bound are drawn too.
+SUBCOMMANDS = next(
+    action for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+).choices
+CAPS = {"k": 10**5, "bound": 2000, "len": 40, "terms": 2000, "seed_n": 10**4, "length": 12,
+        "n": 300}
+ARMS = st.sampled_from([
+    "B3", "Q3", "K5", "G1", "P20-G1", "N20-G/G1", "ZZTOP", "0,0,0", "1,0,0", "-1,0,5",
+    "30,60,90", "x^2+x+41", "1,2", "9223372036854775808,0,1", "9223372036854775809,0,0",
+]) | st.text(max_size=6)
+WINDOWS = st.builds(
+    lambda lo, span, sep: f"{lo}{sep}{lo + span}",
+    st.sampled_from([-5, 0, 1, 2, 1000, 10**9, 2**62, 2**63 - 3]),
+    st.sampled_from([-1, 0, 1, 7, 25, 10**4 + 1]),
+    st.sampled_from([":", ".."]),
+) | st.sampled_from(["abc", "1:2:3", "5..", ""])
+# {tmp} is the test's directory, holding bad.tsv, a malformed fixture file
+PATHS = {
+    "out": st.sampled_from(["{tmp}/out", "{tmp}/missing/out", "{tmp}"]),
+    "fixture_file": st.sampled_from(["{tmp}/bad.tsv", "{tmp}/missing.tsv", "{tmp}"]),
 }
 
 
-@pytest.mark.parametrize("command", GOLDEN_JSON_SHA256)
-def test_json_report_bytes_are_pinned(capsys, command):
-    code, out = run(capsys, "--json", *command.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_JSON_SHA256[command]
+def _values(action: argparse.Action) -> st.SearchStrategy[str]:
+    if action.choices:
+        return st.sampled_from([*map(str, action.choices), "bogus"])
+    if action.type is _window:
+        return WINDOWS
+    if action.type is not None and action.type.__name__ == "integer":  # cli._int_at_least
+        bounds = dict(zip(action.type.__code__.co_freevars,
+                          (cell.cell_contents for cell in action.type.__closure__)))
+        lo, hi = bounds["lowest"], bounds["highest"]
+        inside = st.integers(lo, min(hi, CAPS[action.dest]))
+        return (inside | st.sampled_from([lo - 1, hi + 1, 2**64])).map(str) | st.just("x")
+    return ARMS  # an arm, --compare or plot's --system
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    options, positionals = [], []
+    for action in SUBCOMMANDS[name]._actions:
+        if action.dest in ("help", "json", *PATHS):
+            continue
+        if not action.option_strings:
+            positionals.append(draw(_values(action)))
+        elif action.required or draw(st.booleans()):
+            options += [action.option_strings[0], draw(_values(action))]
+    flags = ["--json"] if draw(st.booleans()) else []
+    for dest, paths in PATHS.items():
+        # plot without --out would write into the working directory
+        if (dest == "out" and name == "plot") or draw(st.booleans()):
+            flags += [f"--{dest.replace('_', '-')}", draw(paths)]
+    # the flags are legal before and after the subcommand
+    before, after = (flags, []) if draw(st.booleans()) else ([], flags)
+    return [*before, name, *options, *after, *(["--", *positionals] if positionals else [])]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "bad.tsv").write_text(MALFORMED_FIXTURE, encoding="utf-8")
+    return tmp
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_0_1_or_2_and_names_an_error_in_one_line(argv_dir, argv):
+    argv = [token.replace("{tmp}", str(argv_dir)) for token in argv]
+    code, _, err = cli_corpus.run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        # argparse prints its usage lines before the error line
+        assert [line for line in lines if not line.startswith(("usage:", " "))] == lines[-1:], err
+        assert "error: " in lines[-1]
+    else:
+        assert err == ""

@@ -33,7 +33,6 @@ EDGES = {
     "six_classify 0": (lambda: residues.six_classify(0), ValueError("n must be >= 1")),
     "total_angle 0": (lambda: spiral.total_angle(0), ValueError("n must be >= 1")),
     "winding_gap 1": (lambda: spiral.winding_gap(1), ValueError("n must be >= 2")),
-    "delta_r 0": (lambda: spiral.delta_r(0), ValueError("n must be >= 1")),
     "coprime_share of an empty window": (
         lambda: factorlab.density_scan(B3, 5, 5).coprime_share, 0.0),
     "primes_up_to 1": (lambda: primes_up_to(1), []),

@@ -14,7 +14,6 @@ from rootspiral.residues import (
     digit_sum,
     digit_sum_gaps,
     divisibility_positions,
-    ending_alphabet,
     residue_cycle,
     six_classify,
 )
@@ -56,17 +55,6 @@ class TestResidueCycle:
     def test_modulus_domain(self):
         with pytest.raises(ValueError):
             residue_cycle(A3, 0)
-
-
-class TestEndingAlphabet:
-    def test_a3_family(self):
-        assert ending_alphabet(A3) == {1, 5, 9}
-
-    def test_q3(self):
-        assert ending_alphabet(Q3) == {1, 3, 7}
-
-    def test_squares(self):
-        assert ending_alphabet(QuadPoly(1, 0, 0)) == {0, 1, 4, 5, 6, 9}
 
 
 class TestDigitSum:

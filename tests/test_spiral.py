@@ -432,20 +432,6 @@ class TestSquareArmAngle:
             spiral.square_arm_angle(1)
 
 
-class TestDeltaR:
-    def test_first_values(self):
-        assert spiral.delta_r(1) == pytest.approx(math.sqrt(2) - 1)
-        assert spiral.delta_r(4) == pytest.approx(math.sqrt(5) - 2)
-
-    def test_taylor_bound(self):
-        for n in (1, 10, 1000, 10**6):
-            err = abs(spiral.delta_r(n) - 0.5 / math.sqrt(n))
-            assert err <= 0.25 * n**-1.5
-
-    def test_millionth_step(self):
-        assert spiral.delta_r(10**6) == pytest.approx(0.0005, abs=1.3e-10)
-
-
 class TestAngleBetween:
     def test_matches_total_angle(self):
         assert spiral.angle_between(1, 1000) == pytest.approx(
