@@ -19,7 +19,7 @@ import rootspiral
 from rootspiral import factorlab, spiral
 from rootspiral.cli import _window, build_parser, main
 from rootspiral.commands.density import _first_reaching
-from rootspiral.fixtures import fixture_text
+from rootspiral.fixtures import fixture_text, load_fixtures
 from rootspiral.quad import QuadPoly
 
 A1_RECORD = "arm\tP18-A\tA1\tP\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
@@ -628,6 +628,26 @@ def test_cli_corpus_bytes_unchanged():
         f"{len(moved)} invocations moved (python tests/cli_corpus.py rewrites the corpus):\n"
         + "\n".join(moved)
     )
+
+
+def test_reports_byte_identical_across_runs(capsys):
+    _, first = run(capsys, "--json", "density", "B3", "--at", "2.5e9")
+    _, second = run(capsys, "--json", "density", "B3", "--at", "2.5e9")
+    assert first == second
+
+
+# the README's reports and density at every fixture window: each --json run
+# is checked on its own against its corpus line, so a moved report names itself
+PINNED_REPORTS = [
+    *cli_corpus.COMMANDS,
+    *(f"density {w.system}/{w.arm} --at {w.label}" for w in load_fixtures().windows),
+]
+
+
+@pytest.mark.parametrize("command", PINNED_REPORTS)
+def test_json_report_bytes_are_pinned(command):
+    argv = ("--json", *command.split())
+    assert cli_corpus.outcome(argv) == cli_corpus.read()[shlex.join(argv)]
 
 
 # The argv grammar, read from build_parser(): each subcommand's positionals
