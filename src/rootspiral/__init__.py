@@ -21,13 +21,10 @@ _EXPORTS = {
     ),
     "fixtures": ("load_fixtures",),
     "numberspiral": (
-        "composite_factor", "composite_params", "ns_polar", "offset_curve_points",
-        "pronic_triangle_angle", "sqrt_spiral_counterparts", "ulam_coord",
+        "composite_factor", "composite_params", "ns_polar", "pronic_triangle_angle",
+        "sqrt_spiral_counterparts", "ulam_coord",
     ),
-    "quad": (
-        "ArmSystem", "QuadPoly", "coefficient_rules_check", "decimate", "differences", "extend",
-        "newton_fit", "shift",
-    ),
+    "quad": ("ArmSystem", "QuadPoly", "coefficient_rules_check", "decimate", "newton_fit", "shift"),
     "residues": (
         "SixClass", "digit_sum", "digit_sum_gaps", "divisibility_positions", "residue_cycle",
         "six_classify",

@@ -24,7 +24,8 @@ def run(args: argparse.Namespace) -> Report:
     rows = ["prime,roots,gaps"]
     for q in adm.primes:
         rc = factorlab.root_classes(poly, q)
-        rows.append(f"{q},{' '.join(map(str, rc.roots))},{' '.join(map(str, rc.gaps))}")
+        roots = "all" if len(rc.roots) == q else " ".join(map(str, rc.roots))
+        rows.append(f"{q},{roots},{' '.join(map(str, rc.gaps))}")
     report.data["root_classes_csv"] = "\n".join(rows)
     report.add("admissible-primes", True, f"{len(adm.primes)} primes <= {args.bound}")
     if args.compare is not None:

@@ -8,10 +8,10 @@ spacings are the observed factor periods: one root gives gap q, two roots
 give a gap pair summing to q.
 """
 
+import itertools
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from . import quad
 from .quad import VALUE_LIMIT, QuadPoly
 from .sieve import primes_up_to
 
@@ -308,11 +308,11 @@ class RootClasses(NamedTuple):
     """Residues t mod p with p | f(t), and the recurrence gap structure."""
 
     p: int
-    roots: tuple[int, ...]  # ascending
+    roots: Sequence[int]  # ascending: a tuple, or range(p) when every residue is a root
     gaps: tuple[int, ...]
 
 
-def _solve(p: QuadPoly, q: int) -> list[int]:
+def _solve(p: QuadPoly, q: int) -> Sequence[int]:
     """The sorted roots of f mod prime q, solved without a scan.
 
     q | a leaves the linear equation bt + c (every residue, or none, when q
@@ -321,15 +321,15 @@ def _solve(p: QuadPoly, q: int) -> list[int]:
     """
     if p.a % q == 0:
         if p.b % q == 0:
-            return list(range(q)) if p.c % q == 0 else []
-        return [(-p.c * pow(p.b, -1, q)) % q]
+            return range(q) if p.c % q == 0 else ()
+        return ((-p.c * pow(p.b, -1, q)) % q,)
     if q == 2:
-        return [t for t in (0, 1) if p(t) % 2 == 0]
+        return tuple(t for t in (0, 1) if p(t) % 2 == 0)
     s = _mod_sqrt(p.discriminant, q)
     if s is None:
-        return []
+        return ()
     inv2a = pow(2 * p.a, -1, q)
-    return sorted({(-p.b + s) * inv2a % q, (-p.b - s) * inv2a % q})
+    return tuple(sorted({(-p.b + s) * inv2a % q, (-p.b - s) * inv2a % q}))
 
 
 def root_classes(p: QuadPoly, q: int) -> RootClasses:
@@ -349,7 +349,7 @@ def root_classes(p: QuadPoly, q: int) -> RootClasses:
     else:
         f = p.__call__  # bound once: calling the record p looks up __call__ on every call
         r1 = next((t for t in range(q) if f(t) % q == 0), None)
-        roots = [] if r1 is None else sorted({r1, (-p.b * pow(p.a, -1, q) - r1) % q})
+        roots = () if r1 is None else tuple(sorted({r1, (-p.b * pow(p.a, -1, q) - r1) % q}))
     if len(roots) == q:  # every residue is a root
         gaps: tuple[int, ...] = (1,)
     elif not roots:
@@ -359,7 +359,7 @@ def root_classes(p: QuadPoly, q: int) -> RootClasses:
     else:
         g = roots[1] - roots[0]
         gaps = tuple(sorted((g, q - g)))
-    return RootClasses(p=q, roots=tuple(roots), gaps=gaps)
+    return RootClasses(p=q, roots=roots, gaps=gaps)
 
 
 class AdmissiblePrimes(NamedTuple):
@@ -472,8 +472,9 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     """Find the arm chain of the given second difference starting at seed.
 
     Candidate first steps are the even integers within +-15 of
-    2*pi*sqrt(seed) (one wind); each candidate is extended by the constant
-    d2 recurrence and scored by its worst per-step angular drift over the
+    2*pi*sqrt(seed) (one wind); each candidate is the running sum of its
+    steps delta1, delta1 + d2, delta1 + 2*d2, ... (exact for any integer d2)
+    and is scored by its worst per-step angular drift over the
     first ten steps, each step's angle read from the closed form
     (spiral._span, O(1) per step).  The per-step angle tends to sqrt(2*d2)
     radians, so one-wind-per-step chains need sqrt(2*d2) near 2*pi, i.e. d2
@@ -500,7 +501,8 @@ def detect_arm_chain(seed: int, d2: int, length: int) -> ArmChain:
     count = max(_SCORE_STEPS + 1, length)
     candidates = []
     for delta1 in range(lo, hi + 1, 2):
-        vals = quad.extend([seed, seed + delta1, seed + 2 * delta1 + d2], count - 3)
+        steps = itertools.islice(itertools.count(delta1, d2), count - 1)
+        vals = list(itertools.accumulate(steps, initial=seed))
         score = max(abs(spiral._span(vals[i], vals[i + 1]) - spiral.TWO_PI)
                     for i in range(_SCORE_STEPS))
         if score < math.pi / 2.0:

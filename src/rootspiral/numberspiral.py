@@ -2,12 +2,13 @@
 
 On the number spiral the integer n sits at polar (r, theta) = (sqrt(n),
 sqrt(n) rotations), which lines every perfect square up on a single ray.
-Offset curves are quadratics with square leading coefficient; those with
-zero constant term are composite curves, factoring term-by-term as
-y = x*(a*x + b).  One step of an a = 1 curve turns the square-root spiral
-by about 2*sqrt(a) = 2 rad, so f(3t + r), with a = 9, turns it by 6 rad per
-step: one wind plus 6 - 2*pi = -16.23 degrees, the d2 = 18 drift.  So one
-number-spiral curve splits into three arms there (decimation by 3).
+A composite curve is a quadratic with square leading coefficient and zero
+constant term, so its terms factor as y = x*(a*x + b); its points tend to
+the ray at b/(2*sqrt(a)) rotations.  One step of an a = 1 curve turns the
+square-root spiral by about 2*sqrt(a) = 2 rad, so f(3t + r), with a = 9,
+turns it by 6 rad per step: one wind plus 6 - 2*pi = -16.23 degrees, the
+d2 = 18 drift.  So one number-spiral curve splits into three arms there
+(decimation by 3).
 """
 
 import math
@@ -54,42 +55,6 @@ def ulam_coord(n: int) -> UlamCoord:
     if leg == 2:  # down the left edge
         return UlamCoord(-k, k - 1 - pos)
     return UlamCoord(-k + 1 + pos, -k)  # right along the bottom
-
-
-class OffsetCurve(NamedTuple):
-    """Classification of a quadratic as a number-spiral offset/composite curve."""
-
-    is_offset: bool  # leading coefficient is a perfect square
-    angle: "Fraction | None"  # rotation angle b/(2*sqrt(a)) when composite (offset, c = 0)
-
-
-def classify_offset_curve(p: QuadPoly) -> OffsetCurve:
-    from fractions import Fraction  # imported on use: no command builds a Fraction
-
-    root = math.isqrt(p.a) if p.a >= 0 else 0
-    is_offset = p.a > 0 and root * root == p.a
-    angle = Fraction(p.b, 2 * root) if is_offset and p.c == 0 else None
-    return OffsetCurve(is_offset=is_offset, angle=angle)
-
-
-def offset_curve_points(p: QuadPoly, count: int) -> list[tuple[float, float]]:
-    """(r, theta) of the curve's first points: r = sqrt(f(n)), theta = r - n*sqrt(a).
-
-    theta is in rotations.  Raises at the first index whose radicand is
-    negative.
-    """
-    curve = classify_offset_curve(p)
-    if not curve.is_offset:
-        raise ValueError(f"{p} is not an offset curve (a must be a perfect square)")
-    root = math.isqrt(p.a)
-    points = []
-    for n in range(count):
-        v = p(n)
-        if v < 0:
-            raise ValueError(f"negative radicand {v} at index {n}")
-        r = math.sqrt(v)
-        points.append((r, r - n * root))
-    return points
 
 
 def composite_params(angle_num: int, angle_den: int) -> "tuple[int, int, Fraction]":

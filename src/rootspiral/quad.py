@@ -1,4 +1,4 @@
-"""Integer quadratic sequences and their finite-difference structure.
+"""Integer quadratics: parsing, Newton fits, reindexing and arm systems.
 
 Every spiral arm in this package is an integer quadratic f(x) = ax^2+bx+c
 evaluated at x = 1, 2, 3, ...  The constant second difference of the value
@@ -8,14 +8,6 @@ exactly (Newton interpolation with integer arithmetic).
 
 import re
 from typing import NamedTuple, Sequence
-
-
-class NotQuadraticError(ValueError):
-    """Sequence has a non-constant second difference."""
-
-    def __init__(self, index: int, message: str) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 class NonIntegralError(ValueError):
@@ -95,38 +87,6 @@ class QuadPoly(NamedTuple):
         if any(abs(v) > VALUE_LIMIT for v in coefs):
             raise ValueError("a literal coefficient exceeds 2^63 in absolute value")
         return cls(*coefs)
-
-
-class DiffProfile(NamedTuple):
-    """First differences plus the common second difference of a sequence."""
-
-    first: tuple[int, ...]
-    second: int
-
-
-def differences(seq: Sequence[int]) -> DiffProfile:
-    """First/second differences; raises NotQuadraticError when d2 is not constant."""
-    if len(seq) < 3:
-        raise ValueError(f"need at least 3 values, got {len(seq)}")
-    first = tuple(b - a for a, b in zip(seq, seq[1:]))
-    second = first[1] - first[0]
-    for i in range(1, len(first) - 1):
-        if first[i + 1] - first[i] != second:
-            raise NotQuadraticError(i + 2, f"second difference breaks at position {i + 2}")
-    return DiffProfile(first=first, second=second)
-
-
-def extend(seq: Sequence[int], count: int) -> list[int]:
-    """Continue the constant-second-difference recurrence by count terms."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    prof = differences(seq)
-    out = list(seq)
-    step, second = prof.first[-1], prof.second
-    for _ in range(count):
-        step += second
-        out.append(out[-1] + step)
-    return out
 
 
 def newton_fit(t0: int, y: Sequence[int]) -> QuadPoly:

@@ -48,15 +48,16 @@ PER_ARM = (
 
 # the README's reports without transcendental floats, factors up to 9973
 # (the largest prime root_classes scans) and on to 20 000, each root-class
-# case at small q: every residue a root (30,60,90 at 2, 3 and 5), none with
-# q | a and b (30030,7,-1 at 7), one linear root (7,3,5 at 7) and two roots
-# (7,3,5 at 3 and 5)
+# case at small q: every residue a root (30,60,90 at 2, 3 and 5, and 9973,0,0
+# at 9973), none with q | a and b (30030,7,-1 at 7), one linear root (7,3,5
+# at 7) and two roots (7,3,5 at 3 and 5)
 COMMANDS = (
     "verify-tables --which all",
     "factors B3 --bound 61",
     "factors B3 --bound 9973",
     "factors B3 --bound 20000",
     "factors 30,60,90 --bound 7",
+    "factors 9973,0,0 --bound 10000",
     "factors 7,3,5 --bound 7",
     "factors 30030,7,-1 --bound 500",
     "factors Q3 --compare S1",

@@ -196,6 +196,15 @@ class TestFactors:
         assert code == 0
         assert "13" in out
 
+    def test_every_residue_prime_prints_all(self, capsys):
+        # 999983 divides every value, so each residue is a root; listing them
+        # would print ~7 MB for that one row
+        code, out = run(capsys, "factors", "999983,0,0", "--bound", "1000000")
+        assert code == 0
+        assert "\n999983,all,1\n" in out
+        assert "\n2,0,2\n" in out  # a prime not dividing 999983 keeps its root list
+        assert len(out) < 2_000_000
+
 
 class TestDensity:
     def test_fixture_window_before_index_1_exits_2(self, capsys, tmp_path):

@@ -40,6 +40,23 @@ def brute_roots(p: QuadPoly, q: int) -> list[int]:
     return sorted(t for t in range(q) if p(t) % q == 0)
 
 
+def _same_form_pair(f: QuadPoly, s: int, t: int, lam: int) -> tuple[QuadPoly, QuadPoly]:
+    """f and g = lam*f(s*x + t), s = +-1: a shift, a mirror f(t - x) and a multiple.
+    Then a' = lam*a and D' = lam^2*D, so D*a'^2 = D'*a^2."""
+    return f, QuadPoly(lam * f.a, lam * s * (2 * f.a * t + f.b), lam * f(t))
+
+
+SAME_FORM_PAIRS = st.builds(
+    _same_form_pair,
+    st.builds(QuadPoly, st.integers(-30, 30), st.integers(-60, 60), st.integers(-60, 60)).filter(
+        lambda f: f.a * f.discriminant != 0
+    ),
+    st.sampled_from((1, -1)),
+    st.integers(-20, 20),
+    st.integers(-6, 6).filter(bool),
+)
+
+
 class TestIsPrime:
     def test_table_one_value(self):
         assert is_prime(2500250003)
@@ -502,7 +519,7 @@ class TestRootClasses:
         poly = QuadPoly(a, b, c)
         a, b, c = a % q, b % q, c % q
         brute = tuple(t for t in range(q) if (a * t * t + b * t + c) % q == 0)
-        assert root_classes(poly, q).roots == tuple(factorlab._solve(poly, q)) == brute
+        assert tuple(root_classes(poly, q).roots) == tuple(factorlab._solve(poly, q)) == brute
 
     def test_requires_prime(self):
         # 10007 * 10009 is a composite past the scan range, where _mod_sqrt would run
@@ -589,6 +606,23 @@ class TestSameSplitting:
         # both have the one root 1 mod 2; mod 3 only x^2 - 1 has roots
         assert same_splitting(QuadPoly(1, 0, -1), QuadPoly(1, 0, 1), 10) == (False, 3)
 
+    @settings(max_examples=100, deadline=None)
+    @given(pair=SAME_FORM_PAIRS, bound=st.integers(2, 2_000))
+    @example(pair=(QuadPoly(9, -15, 13), QuadPoly(11, -11, 11)), bound=2_000)  # A6/R2
+    @example(pair=(QuadPoly(9, -21, 19), QuadPoly(11, -11, 11)), bound=2_000)  # C8/R2
+    @example(pair=(Q3, S1), bound=2_000)
+    def test_same_form_differs_only_at_primes_dividing_m(self, pair, bound):
+        # when D*a'^2 = D'*a^2, f and g have the same gaps at every prime q not
+        # dividing m = 2*a*a'*D*D', so the loop's verdict is read at those q alone
+        f, g = pair
+        assert f.discriminant * g.a**2 == g.discriminant * f.a**2
+        m = 2 * f.a * g.a * f.discriminant * g.discriminant
+        differ = [
+            q for q in primes_up_to(bound)
+            if m % q == 0 and root_classes(f, q).gaps != root_classes(g, q).gaps
+        ]
+        assert same_splitting(f, g, bound) == ((False, differ[0]) if differ else (True, None))
+
 
 class TestDensityScan:
     def test_empty_window(self):
@@ -649,6 +683,15 @@ class TestDetectArmChain:
         for i, drift in enumerate(chain.drifts):
             oracle = spiral.angle_between(chain.values[i], chain.values[i + 1]) - 2 * math.pi
             assert drift == pytest.approx(oracle, abs=1e-12)
+
+    def test_every_candidate_is_exact_for_zero_and_negative_d2(self):
+        # far from the origin a step bends so little that d2 = 0 and -4 chains
+        # stay within a quarter wind; each candidate is the running sum of its steps
+        for d2 in (0, -4):
+            for c in detect_arm_chain(10**6, d2, 12).candidates:
+                v = c.values
+                assert len(v) == 12 and v[1] - v[0] == c.delta1
+                assert all(v[i + 2] - 2 * v[i + 1] + v[i] == d2 for i in range(10))
 
     def test_not_found_when_d2_cannot_keep_one_wind_per_step(self):
         # a second difference of 200 forces ~3 winds per step, so every

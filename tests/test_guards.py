@@ -23,7 +23,6 @@ EDGES = {
         lambda: numberspiral.composite_params(1, 0), ValueError("denominator must be >= 1")),
     "QuadPoly.parse two coefficients": (
         lambda: QuadPoly.parse("1,2"), ValueError("expected three coefficients")),
-    "extend count -1": (lambda: quad.extend([1, 2, 4], -1), ValueError("count must be >= 0")),
     "newton_fit two samples": (
         lambda: quad.newton_fit(1, [1, 2]), ValueError("need exactly 3 samples")),
     "decimate m 0": (lambda: quad.decimate(B3, 0, 0), ValueError("m must be >= 1")),

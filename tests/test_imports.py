@@ -68,9 +68,9 @@ FIXTURE_FREE = {"constants", "detect", "sqrt-spiral", "ulam", "number-spiral"}
 PUBLIC = """
     admissible_primes density_scan detect_arm_chain factorize is_prime root_classes
     same_splitting load_fixtures composite_factor composite_params ns_polar
-    offset_curve_points pronic_triangle_angle sqrt_spiral_counterparts ulam_coord ArmSystem
-    QuadPoly coefficient_rules_check decimate differences extend newton_fit shift SixClass
-    digit_sum digit_sum_gaps divisibility_positions residue_cycle six_classify C2 SpiralPoint
+    pronic_triangle_angle sqrt_spiral_counterparts ulam_coord ArmSystem QuadPoly
+    coefficient_rules_check decimate newton_fit shift SixClass digit_sum digit_sum_gaps
+    divisibility_positions residue_cycle six_classify C2 SpiralPoint
     angle_between angle_increment estimate_c2 polar_of square_arm_angle total_angle winding_gap
 """.split()
 

@@ -1,4 +1,4 @@
-"""Number-spiral coordinates, offset/composite curves, Ulam mapping."""
+"""Number-spiral coordinates, composite curves, Ulam mapping."""
 
 import math
 from fractions import Fraction
@@ -7,11 +7,9 @@ import pytest
 
 from rootspiral import factorlab
 from rootspiral.numberspiral import (
-    classify_offset_curve,
     composite_factor,
     composite_params,
     ns_polar,
-    offset_curve_points,
     pronic_triangle_angle,
     sqrt_spiral_counterparts,
     ulam_coord,
@@ -43,26 +41,28 @@ class TestNsPolar:
             ns_polar(-1)
 
 
+def _theta(angle_num: int, angle_den: int, n: int) -> float:
+    """Angle in rotations of f(n) on the number spiral, less n whole rotations,
+    for the composite curve f of angle angle_num/angle_den: sqrt(f(n)) - n*sqrt(a)."""
+    a, b, _ = composite_params(angle_num, angle_den)
+    return math.sqrt(a * n * n + b * n) - n * math.isqrt(a)
+
+
 class TestOffsetCurvePoints:
+    # composite_params gives the curve x(ax + b) whose points tend to the ray
+    # at angle_num/angle_den rotations from the squares' ray
     def test_squares_ray_theta_zero(self):
-        for _, theta in offset_curve_points(SQUARES, 50):
-            assert theta == 0.0
+        assert composite_params(0, 1)[:2] == (1, 0)  # x^2
+        for n in range(50):
+            assert _theta(0, 1, n) == 0.0
 
     def test_one_third_angle_curve(self):
-        pts = offset_curve_points(QuadPoly(9, 2, 0), 2000)
-        assert pts[-1][1] == pytest.approx(1.0 / 3.0, abs=1e-3)
+        assert composite_params(1, 3)[:2] == (9, 2)  # x(9x + 2)
+        assert _theta(1, 3, 1999) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_pronic_tends_to_half_rotation(self):
-        pts = offset_curve_points(PRONIC, 5000)
-        assert pts[-1][1] == pytest.approx(0.5, abs=1e-4)
-
-    def test_negative_radicand_reports_index(self):
-        with pytest.raises(ValueError, match="index 0"):
-            offset_curve_points(QuadPoly(1, 0, -10), 5)
-
-    def test_non_square_lead_rejected(self):
-        with pytest.raises(ValueError):
-            offset_curve_points(QuadPoly(2, 0, 0), 5)
+        assert composite_params(1, 2)[:2] == (1, 1)  # x(x + 1)
+        assert _theta(1, 2, 4999) == pytest.approx(0.5, abs=1e-4)
 
 
 class TestCompositeParams:
@@ -105,19 +105,6 @@ class TestCompositeFactor:
                 assert fx * fy == curve(x)
                 assert fx > 1 and fy > 1
                 assert not factorlab.is_prime(curve(x))
-
-
-class TestClassify:
-    def test_offset_flags(self):
-        c = classify_offset_curve(QuadPoly(9, 2, 5))
-        assert c.is_offset and c.angle is None
-
-    def test_composite_angle(self):
-        c = classify_offset_curve(QuadPoly(9, 2, 0))
-        assert c.is_offset and c.angle == Fraction(1, 3)
-
-    def test_not_offset(self):
-        assert not classify_offset_curve(QuadPoly(2, 0, 0)).is_offset
 
 
 def _walk_oracle(n_max: int) -> dict[int, tuple[int, int]]:

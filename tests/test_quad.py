@@ -1,4 +1,4 @@
-"""Quadratic fitting: differences, extension, Newton fits, reindexing."""
+"""Quadratic fitting: Newton fits, reindexing, arm systems."""
 
 import random
 
@@ -7,15 +7,11 @@ import pytest
 from rootspiral.quad import (
     ArmSystem,
     Arm,
-    DiffProfile,
     NonIntegralError,
-    NotQuadraticError,
     VALUE_LIMIT,
     QuadPoly,
     coefficient_rules_check,
     decimate,
-    differences,
-    extend,
     newton_fit,
     shift,
 )
@@ -24,55 +20,6 @@ A3 = QuadPoly(9, 3, -1)
 B3 = QuadPoly(9, 9, -1)
 Q3 = QuadPoly(11, -31, 31)
 EULER = QuadPoly(1, 1, 41)
-
-
-class TestDifferences:
-    def test_arm_a3(self):
-        prof = differences([11, 41, 89, 155, 239])
-        assert prof == DiffProfile(first=(30, 48, 66, 84), second=18)
-
-    def test_arm_k5(self):
-        prof = differences([13, 49, 107, 187, 289, 413])
-        assert prof.first == (36, 58, 80, 102, 124)
-        assert prof.second == 22
-
-    def test_minimal_length(self):
-        assert differences([1, 2, 4]).second == 1
-
-    def test_non_quadratic(self):
-        with pytest.raises(NotQuadraticError) as exc:
-            differences([1, 2, 4, 9])
-        assert exc.value.index == 3
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            differences([1, 2])
-
-    def test_profile_reconstructs_sequence(self):
-        seq = [13, 49, 107, 187, 289, 413]
-        prof = differences(seq)
-        rebuilt = [seq[0]]
-        for d in prof.first:
-            rebuilt.append(rebuilt[-1] + d)
-        assert rebuilt == seq
-
-
-class TestExtend:
-    def test_arm_a3(self):
-        assert extend([11, 41, 89], 2) == [11, 41, 89, 155, 239]
-
-    def test_arm_b3(self):
-        assert extend([17, 53, 107], 3) == [17, 53, 107, 179, 269, 377]
-
-    def test_zeros(self):
-        assert extend([0, 0, 0], 5) == [0] * 8
-
-    def test_matches_polynomial(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            p = QuadPoly(rng.randint(-9, 9), rng.randint(-50, 50), rng.randint(-50, 50))
-            vals = p.values(1, 3)
-            assert extend(vals, 7) == p.values(1, 10)
 
 
 class TestNewtonFit:
@@ -103,7 +50,8 @@ class TestNewtonFit:
         rng = random.Random(99)
         for _ in range(100):
             p = QuadPoly(rng.randint(-20, 20), rng.randint(-100, 100), rng.randint(-100, 100))
-            assert differences(p.values(1, 10)).second == 2 * p.a
+            vals = p.values(1, 10)
+            assert {vals[i + 2] - 2 * vals[i + 1] + vals[i] for i in range(8)} == {2 * p.a}
 
 
 class TestShift:
