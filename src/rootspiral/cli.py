@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="verify the geometric constants")
     # estimate_c2 streams the k - 4096 angle terms past the prefix table:
-    # 10^8 takes ~0.8 s (2-vCPU VM)
+    # 10^8 takes ~0.6 s (2-vCPU VM)
     p.add_argument("--k", type=_int_at_least(2, 10**8), default=C2_VERDICT_K,
                    help="truncation index for the angle sums")
     _add_common(p)
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations here, so that a stray --seed is an error, not --seed-n
     p = sub.add_parser("detect", help="detect a one-wind arm chain from a seed", allow_abbrev=False)
     # each reported drift streams ~2*pi*sqrt(n) angle terms: at both bounds a
-    # run takes 1.0-1.3 s at 32 MB (2-vCPU VM), length 10^3 from seed 17 0.3 s
+    # run takes 1.0-1.1 s at 31 MB (2-vCPU VM), length 10^3 from seed 17 0.2 s
     p.add_argument("--seed-n", dest="seed_n", type=_int_at_least(1, 10**9), required=True,
                    help="first chain value")
     p.add_argument("--d2", type=int, choices=(18, 20, 22), required=True)

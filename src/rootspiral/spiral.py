@@ -28,9 +28,12 @@ below _N0 is the difference of two table entries, the correctly rounded
 sum of its math.atan increments, in O(1); the part from _N0 up is streamed
 in blocks of 2^16 increments (_BLOCK) summed with numpy, and the pieces
 are merged with math.fsum, so a sum holds one block of increments
-(512 KiB) at a time.  It is the direct-summation oracle behind reported
-drifts and estimate_c2.  numpy is imported only by _increments, so only a
-span reaching past _N0 loads it.
+(512 KiB) at a time.  A block's k are a slice of one read-only index block
+0 .. _BLOCK - 1 (another 512 KiB, built on first use and kept) plus the
+block's start; a span from _N0 up that fits in one block is that block's
+sum.  It is the direct-summation oracle behind reported drifts and
+estimate_c2.  numpy is imported only by the first _increments call, so
+only a span reaching past _N0 loads it.
 
 Angle origin convention: ray sqrt(1) lies on the +X axis and angles
 accumulate counter-clockwise, so ``total_angle(1) == 0``.
@@ -60,6 +63,9 @@ _SERIES = (
 _N0 = 4096
 # terms of a streamed sum taken at once
 _BLOCK = 1 << 16
+# numpy and the index block 0 .. _BLOCK - 1, set by the first _increments call
+_np = None
+_INDEX = None
 
 
 class SpiralPoint(NamedTuple):
@@ -78,17 +84,31 @@ def angle_increment(n: int) -> float:
 
 
 def _increments(lo: int, hi: int) -> "np.ndarray":
-    """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64.
+    """Angle increments arctan(1/sqrt(k)) for k in [lo, hi), as float64; needs hi - lo <= _BLOCK.
 
-    Each step writes into the one buffer that arange allocates; the operations,
+    k is a slice of the cached read-only index block plus float(lo), exact
+    below 2^53, so k holds the values of arange(lo, hi).  Each step then
+    writes into the one buffer that the addition allocates; the operations,
     and so the values, are those of arctan(1.0 / sqrt(arange(lo, hi))).
     """
-    import numpy as np
+    global _np, _INDEX
+    if _INDEX is None:
+        import numpy
 
-    out = np.arange(lo, hi, dtype=np.float64)
+        _INDEX = numpy.arange(_BLOCK, dtype=numpy.float64)
+        _INDEX.flags.writeable = False
+        _np = numpy
+    np = _np
+    out = np.add(_INDEX[: hi - lo], float(lo))
     np.sqrt(out, out=out)
     np.divide(1.0, out, out=out)
     return np.arctan(out, out=out)
+
+
+def _block_sum(lo: int, hi: int) -> float:
+    """Sum of _increments(lo, hi) by np.add.reduce, the pairwise sum of ndarray.sum."""
+    block = _increments(lo, hi)  # sets _np on first use
+    return float(_np.add.reduce(block))
 
 
 def _prefix_units() -> tuple[int, ...]:
@@ -183,13 +203,16 @@ def angle_between(n1: int, n2: int) -> float:
     increments, so a span inside the table costs O(1) and needs no numpy.
     The terms from _N0 up are cut into blocks of 2^16 starting at
     max(n1, _N0); each block is summed with numpy, and the head and the
-    block sums are merged with math.fsum.
+    block sums are merged with math.fsum.  A span from _N0 up of at most
+    one block is returned as its block sum, which is what math.fsum of a
+    zero head and that sum gives.
     """
     if not 1 <= n1 <= n2:
         raise ValueError(f"need 1 <= n1 <= n2, got {n1}, {n2}")
+    if n1 >= _N0 and n2 - n1 <= _BLOCK:
+        return _block_sum(n1, n2)
     head = _table_span(n1, min(n2, _N0)) if n1 < _N0 else 0.0
-    tail = (float(_increments(a, min(a + _BLOCK, n2)).sum())
-            for a in range(max(n1, _N0), n2, _BLOCK))
+    tail = (_block_sum(a, min(a + _BLOCK, n2)) for a in range(max(n1, _N0), n2, _BLOCK))
     return math.fsum([head, *tail])
 
 

@@ -50,7 +50,9 @@ PER_ARM = (
 # (the largest prime root_classes scans) and on to 20 000, each root-class
 # case at small q: every residue a root (30,60,90 at 2, 3 and 5, and 9973,0,0
 # at 9973), none with q | a and b (30030,7,-1 at 7), one linear root (7,3,5
-# at 7) and two roots (7,3,5 at 3 and 5)
+# at 7) and two roots (7,3,5 at 3 and 5), and the largest literal's root
+# classes (2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657: every residue a
+# root at 7, 73 and 127)
 COMMANDS = (
     "verify-tables --which all",
     "factors B3 --bound 61",
@@ -64,6 +66,7 @@ COMMANDS = (
     "factors B3 --compare 0,0,0",
     "factors K5 --window 1..6",
     "residues Q3",
+    "factors 9223372036854775807,9223372036854775807,9223372036854775807 --bound 300",
 )
 
 

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootspiral import spiral
@@ -139,11 +139,27 @@ class TestAngleIncrement:
         assert vals == sorted(vals, reverse=True)
 
 
+def _oracle_angle_between(n1: int, n2: int) -> float:
+    """angle_between as it stood before the cached index block: the head below
+    N0 as the correctly rounded sum of its math.atan increments, each 2^16 block
+    from max(n1, N0) as ndarray.sum of the increments of a fresh arange, and
+    the pieces merged with math.fsum."""
+    block = 1 << 16
+    head = math.fsum(map(spiral.angle_increment, range(n1, min(n2, N0))))
+    tail = (float(np.arctan(1.0 / np.sqrt(np.arange(a, min(a + block, n2), dtype=np.float64))).sum())
+            for a in range(max(n1, N0), n2, block))
+    return math.fsum([head, *tail])
+
+
 class TestIncrements:
     def test_in_place_equals_the_expression(self):
-        n = 2_200_000
-        expected = np.arctan(1.0 / np.sqrt(np.arange(1, n, dtype=np.float64)))
-        assert np.array_equal(spiral._increments(1, n).view(np.int64), expected.view(np.int64))
+        # every 2^16 block of [1, 2.2e6), the k the one-array form of this test took
+        n, block = 2_200_000, 1 << 16
+        for lo in range(1, n, block):
+            hi = min(lo + block, n)
+            expected = np.arctan(1.0 / np.sqrt(np.arange(lo, hi, dtype=np.float64)))
+            assert np.array_equal(spiral._increments(lo, hi).view(np.int64), expected.view(np.int64))
+        assert not spiral._INDEX.flags.writeable
 
     def test_libm_increment_within_one_ulp_of_the_summed_one(self):
         # angle_increment uses libm's atan, the sums numpy's vectorised arctan;
@@ -172,6 +188,22 @@ class TestBlockedSum:
     @given(lo=st.integers(1, 10**9), length=st.integers(0, 1 << 21))
     def test_within_2_ulp_of_fsum_anywhere(self, lo, length):
         self.assert_within_2_ulp_of_fsum(lo, length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(1, 10**9), length=st.integers(0, 3 * (1 << 16) + 7))
+    @example(n1=1, length=N0 - 1)  # the whole table, no block
+    @example(n1=N0 - 1, length=1)
+    @example(n1=N0 - 1, length=2)  # one table term and one block term
+    @example(n1=N0, length=0)
+    @example(n1=N0, length=1 << 16)  # exactly one block
+    @example(n1=N0, length=(1 << 16) + 1)
+    @example(n1=N0 + 1, length=(1 << 16) - 1)
+    @example(n1=N0 - 5, length=(1 << 16) + 5)  # a head and exactly one block
+    @example(n1=10**9, length=2 * (1 << 16))
+    @example(n1=10**9, length=3 * (1 << 16) + 7)
+    def test_same_bits_as_the_reference(self, n1, length):
+        got = spiral.angle_between(n1, n1 + length)
+        assert got.hex() == _oracle_angle_between(n1, n1 + length).hex()
 
     def test_chunk_peaks_below_2mb(self):
         spiral._increments(1, 2)  # import numpy outside the traced region
