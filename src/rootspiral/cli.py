@@ -13,8 +13,6 @@ which counts when no bytecode cache is written (PYTHONDONTWRITEBYTECODE or
 a read-only install).
 """
 
-from __future__ import annotations
-
 import argparse
 import importlib
 import sys

@@ -15,18 +15,17 @@ from typing import NamedTuple, Sequence
 from .quad import VALUE_LIMIT, QuadPoly
 from .sieve import primes_up_to
 
-# Deterministic Miller-Rabin, as in sympy.ntheory.primetest.isprime (sympy 1.14,
-# step 2): _MR_TIERS holds (bound, bases) pairs, and the bases of the first
-# bound above n decide whether n is prime.  The sets below 2^64 are the
-# shortest published ones (miller-rabin.appspot.com; the 7-base set is Jim
-# Sinclair's), used there, as here, only on n with no prime factor up to 47.
-# Below 4296595241 one base does, picked from _MR_BASES_32 by a hash of n
-# (Forisek and Jancina, "Fast Primality Testing for Integers That Fit into a
-# Machine Word", 2015).  From 2^64 the bases are the twelve primes 2..37, which
-# decide every n below _MR_LIMIT = 399165290221 * 798330580441 ~ 3.19e23, the
-# least strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
-# Comp. 61, 1993).  A base at or above n is reduced mod n, and one that
-# reduces below 2 is skipped.
+# Deterministic Miller-Rabin: _MR_TIERS holds (bound, bases) pairs, and the
+# bases of the first bound above n decide whether n is prime, on n with no
+# prime factor up to 47.  Below 4296595241 one base does, picked from
+# _MR_BASES_32 by a hash of n (Forisek and Jancina, "Fast Primality Testing
+# for Integers That Fit into a Machine Word", 2015).  Below 2^64 Jim
+# Sinclair's seven bases do (miller-rabin.appspot.com); each is below
+# 4296595241, so none is ever reduced mod n.  From 2^64 the bases are the
+# twelve primes 2..37, which decide every n below _MR_LIMIT = 399165290221 *
+# 798330580441 ~ 3.19e23, the least strong pseudoprime to all of them (OEIS
+# A014233; Jaeschke, Math. Comp. 61, 1993).  A hashed base at or above n is
+# reduced mod n, and one that reduces below 2 is skipped.
 _SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _MR_BASES_32 = (
@@ -52,17 +51,7 @@ _MR_BASES_32 = (
 )
 _MR_TIERS = (
     (53 * 53, ()),  # an n below 53^2 with no prime factor up to 47 is prime
-    (341_531, (9345883071009581737,)),
     (4_296_595_241, _MR_BASES_32),
-    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
-    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
-    (7_999_252_175_582_851, (
-        2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805,
-    )),
-    (585_226_005_592_931_977, (
-        2, 123635709730000, 9233062284813009, 43835965440333360, 761179012939631437,
-        1263739024124850375,
-    )),
     (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
@@ -95,10 +84,9 @@ def is_prime(n: int) -> bool:
 
     One gcd with the product of the primes up to 47 replaces trial division.
     An n below 53^2 that survives it is prime; above, n runs the Miller-Rabin
-    bases of its tier (_MR_TIERS, sympy's isprime step 2): one base below
-    341531, one base hashed from n below 4296595241 (Forisek and Jancina,
-    2015), then 3 to 7 bases up to 2^64 and the
-    twelve primes 2..37 up to _MR_LIMIT (OEIS A014233).  A 'composite'
+    bases of its tier (_MR_TIERS): one base hashed from n below 4296595241
+    (Forisek and Jancina, 2015), Sinclair's seven bases below 2^64, and the
+    twelve primes 2..37 up to _MR_LIMIT (Jaeschke; OEIS A014233).  A 'composite'
     answer is exact for every n.  From _MR_LIMIT = 318665857834031151167461
     on, the first n that the twelve primes wrongly call prime, an n that
     passes them all raises OverflowError.

@@ -7,8 +7,6 @@ environment-dependent enters the output, so identical inputs give
 byte-identical files.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections.abc import Iterable, Iterator

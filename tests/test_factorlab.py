@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import math
 import random
 
@@ -68,7 +69,7 @@ class TestIsPrime:
         assert not is_prime(1)
 
     def test_against_sieve(self):
-        # every n of the first two tiers: none below 53^2, one base below 341531
+        # every n below 2e6: no base below 53^2, the hashed base above
         flags = set(primes_up_to(2 * 10**6))
         for n in range(1, 2 * 10**6):
             assert is_prime(n) == (n in flags), n
@@ -151,9 +152,18 @@ def a014233_is_prime(n: int) -> bool:
 _TIERS = [  # (lo, hi, bases): the bases decide every n in [lo, hi)
     (lo, hi, bases) for (lo, _), (hi, bases) in zip(factorlab._MR_TIERS, factorlab._MR_TIERS[1:])
 ]
+# the bounds of sympy's isprime rows (sympy 1.14, step 2); is_prime folds
+# its one base below 341531 and its 3- to 6-base sets into the hashed base
+# and Sinclair's set, and the range of every row stays under test
+_SYMPY_BOUNDS = (
+    53 * 53, 341531, 4296595241, 350269456337, 55245642489451, 7999252175582851,
+    585226005592931977, 2**64, A014233[-1],
+)
+_ROWS = list(itertools.pairwise(_SYMPY_BOUNDS))
 _BANDS = sorted(
     {(lo, hi) for lo, hi in zip((41 * 41, *A014233), A014233) if lo < hi}
     | {(lo, hi) for lo, hi, _ in _TIERS}
+    | set(_ROWS)
 )
 
 # the tiers with a base at or above their lower bound, and those bases
@@ -178,17 +188,17 @@ class TestWitnessSchedule:
             assert all(_strong_probable_prime(n, a) for a in A014233_WITNESSES[:k]), k
 
     def test_tier_bounds(self):
-        # sympy 1.14, sympy/ntheory/primetest.py, isprime step 2; the last is A014233(12)
+        # the hashed base (Forisek and Jancina), Jim Sinclair's seven bases
+        # (miller-rabin.appspot.com) and the primes 2..37 up to A014233(12)
         assert [bound for bound, _ in factorlab._MR_TIERS] == [
-            53 * 53, 341531, 4296595241, 350269456337, 55245642489451, 7999252175582851,
-            585226005592931977, 2**64, A014233[-1],
+            53 * 53, 4296595241, 2**64, A014233[-1],
         ]
         assert factorlab._MR_LIMIT == A014233[-1]
         assert factorlab._MR_TIERS[-1][1] == A014233_WITNESSES
-        assert [len(bases) for _, bases in factorlab._MR_TIERS] == [0, 1, 256, 3, 4, 5, 6, 7, 12]
+        assert [len(bases) for _, bases in factorlab._MR_TIERS] == [0, 256, 7, 12]
         # every base of every tier: no test input is known to fail a set short of one base
         digest = hashlib.sha256(repr(factorlab._MR_TIERS).encode()).hexdigest()
-        assert digest == "4244fff3e1a1288d9c7dd02220f3ba8f0f0e48ee0070c84ebd788c454f49c1e7"
+        assert digest == "7e3a921c60c827cbe65bd49ce9c2fbb00b635afe628fa45b9afaa9a13e056857"
 
     def test_hashed_base_table(self):
         # Forisek and Jancina (2015), as sympy/ntheory/primetest.py copies it
@@ -200,7 +210,8 @@ class TestWitnessSchedule:
         assert is_prime(A014233[k - 1]) is False
 
     @pytest.mark.parametrize(
-        "bound", sorted({41 * 41, *A014233} | {bound for bound, _ in factorlab._MR_TIERS})
+        "bound",
+        sorted({41 * 41, *A014233, *_SYMPY_BOUNDS} | {bound for bound, _ in factorlab._MR_TIERS}),
     )
     def test_agrees_with_sympy_around_each_bound(self, bound):
         for n in range(bound - 200, bound + 201):
@@ -238,10 +249,10 @@ class TestWitnessSchedule:
                         checked += 1
         assert checked > 0
 
-    @pytest.mark.parametrize("lo, hi", [(lo, hi) for lo, hi, _ in _TIERS])
+    @pytest.mark.parametrize("lo, hi", _ROWS)
     def test_chernick_carmichael_numbers_are_composite(self, lo, hi):
         # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael number,
-        # a Fermat pseudoprime to every coprime base: up to five in the tier
+        # a Fermat pseudoprime to every coprime base: up to five in the range
         k = max(1, round((lo / 1296) ** (1 / 3)) - 1)
         found = []
         while len(found) < 5 and (6 * k + 1) ** 3 < hi:
@@ -249,6 +260,21 @@ class TestWitnessSchedule:
             if lo <= math.prod(f) < hi and all(sympy.isprime(p) for p in f):
                 found.append(math.prod(f))
             k += 1
+        assert found
+        for n in found:
+            assert is_prime(n) is False, n
+
+    @pytest.mark.parametrize("lo, hi", _ROWS)
+    def test_monier_semiprimes_are_composite(self, lo, hi):
+        # (2k+1)(4k+1) with both factors prime and k odd fools a quarter of
+        # all bases, the most any odd composite can (Monier 1980): one base
+        # used past its bound calls some of the first 50 in the range prime
+        p = 2 * (math.isqrt(lo // 8) | 1) + 1  # p = 2k+1 with k odd, p(2p-1) near lo
+        found = []
+        while len(found) < 50 and p * (2 * p - 1) < hi:
+            if p * (2 * p - 1) >= lo and sympy.isprime(p) and sympy.isprime(2 * p - 1):
+                found.append(p * (2 * p - 1))
+            p += 4
         assert found
         for n in found:
             assert is_prime(n) is False, n

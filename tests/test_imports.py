@@ -14,7 +14,9 @@ names is first used.  Records are NamedTuples, so no command loads
 dataclasses (6-9 ms with the inspect module it imports); only numpy, in
 the commands that stream angle sums past 4096, loads inspect.  Only the
 library's composite-curve functions build a Fraction, so no command loads
-fractions (with the decimal and numbers modules it imports, ~3 ms).
+fractions (with the decimal and numbers modules it imports, ~3 ms).  No
+module imports __future__: on Python 3.10 and later every annotation in the
+package evaluates at import.
 """
 
 import os
@@ -30,15 +32,15 @@ SRC = str(Path(rootspiral.__file__).resolve().parents[1])
 
 # Runs rootspiral.cli.main on the arguments in a fresh interpreter, then
 # lists on the second-to-last line of stderr the rootspiral submodules, numpy,
-# dataclasses, inspect and fractions, where imported, prints on the last line
-# how many fixture sets were parsed, and exits with main's code.
+# dataclasses, inspect, fractions and __future__, where imported, prints on
+# the last line how many fixture sets were parsed, and exits with main's code.
 RUN_CLI = """
 import sys
 from rootspiral.cli import main
 from rootspiral.fixtures import load_fixtures
 code = main(sys.argv[1:])
 print(*sorted(m for m in sys.modules
-              if m in ("numpy", "dataclasses", "inspect", "fractions")
+              if m in ("numpy", "dataclasses", "inspect", "fractions", "__future__")
               or m.startswith("rootspiral.")),
       file=sys.stderr)
 print(load_fixtures.cache_info().misses, file=sys.stderr)
@@ -154,7 +156,7 @@ def command_run(tmp_path_factory):
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_commands_without_angle_sums_leave_numpy_out(command_run, argv):
     loaded, _ = command_run(argv)
-    assert not loaded & {"numpy", "dataclasses", "inspect", "fractions"}
+    assert not loaded & {"numpy", "dataclasses", "inspect", "fractions", "__future__"}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
@@ -185,7 +187,7 @@ def test_each_command_loads_one_handler_and_parses_fixtures_only_if_it_reads_the
 def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
     loaded, _ = run_cli(tmp_path, argv)
     assert not loaded & {f"rootspiral.{module}" for module in unused}
-    assert not loaded & {"dataclasses", "fractions"}
+    assert not loaded & {"dataclasses", "fractions", "__future__"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
     assert "inspect" not in loaded or "numpy" in loaded
 
@@ -210,7 +212,7 @@ def test_sieve_plots_leave_factorlab_out(tmp_path, what):
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
     loaded, _ = run_cli(tmp_path, argv)
     assert "numpy" in loaded  # spans reaching past the prefix table are streamed
-    assert not loaded & {"dataclasses", "fractions"}
+    assert not loaded & {"dataclasses", "fractions", "__future__"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
     assert "inspect" not in loaded or "numpy" in loaded
 
