@@ -24,10 +24,9 @@ _EXPORTS = {
         "composite_factor", "composite_params", "ns_polar", "pronic_triangle_angle",
         "sqrt_spiral_counterparts", "ulam_coord",
     ),
-    "quad": ("ArmSystem", "QuadPoly", "coefficient_rules_check", "decimate", "newton_fit", "shift"),
+    "quad": ("ArmSystem", "QuadPoly", "decimate", "newton_fit", "shift"),
     "residues": (
-        "SixClass", "digit_sum", "digit_sum_gaps", "divisibility_positions", "residue_cycle",
-        "six_classify",
+        "digit_sum", "digit_sum_gaps", "divisibility_positions", "residue_cycle", "six_classify",
     ),
     "spiral": (
         "C2", "SpiralPoint", "angle_between", "angle_increment", "estimate_c2", "polar_of",

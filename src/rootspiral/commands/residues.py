@@ -31,7 +31,7 @@ def run(args: argparse.Namespace) -> Report:
         pos = residues.divisibility_positions(poly, k)
         report.data[f"divisible_by_{k}"] = sorted(pos)
     six = [
-        residues.six_classify(v).value if v >= 1 else "n/a"
+        residues.six_classify(v) if v >= 1 else "n/a"
         for v in (poly(t) for t in range(1, 7))
     ]
     report.data["six_classes"] = six

@@ -4,31 +4,34 @@ import argparse
 
 from .. import residues
 from ..fixtures import TABLE_PREFIXES, FixtureSet, load_fixtures
-from ..quad import ArmSystem, coefficient_rules_check
+from ..quad import ArmSystem, shift
 from ..report import Report
 from . import SystemExit2
 
 
 def _verify_system(report: Report, system: ArmSystem) -> int:
-    """Check each arm's rules and mod-10 period, then the system's rules; returns the arms passed.
+    """Check each arm's fits and mod-10 period, then the system's rules; returns the arms passed.
 
-    The loader has already checked fit 1 against the six terms, so the rules
-    hold for an arm exactly when each later fit is the one before shifted by 1.
+    The loader gives every fit the record's a, checks 2a = d2 and checks fit 1
+    against the six terms. So the three coefficient rules (a = d2/2, b steps
+    by d2, c is the preceding term) hold for an arm exactly when each printed
+    fit m + 1 is fit 1 re-indexed by m: f(x + m).
     """
-    failures = coefficient_rules_check(system)
+    broken = []
     passed = 0
     for arm in system.arms:
-        woes = [f"{f.rule}: {f.detail}" for f in failures if f.arm == arm.name]
+        rebuilt = [shift(arm.poly, m) for m in range(len(arm.fits))]
+        bad = [m for m, fit in enumerate(arm.fits) if fit != rebuilt[m]]
+        woes = [
+            f"fit {m + 1} is {arm.fits[m]}, fit 1 re-indexed by {m} is {rebuilt[m]}" for m in bad
+        ]
+        broken += (f"{arm.name}:fit {m + 1}" for m in bad)
         period = len(residues.residue_cycle(arm.poly, 10))
         if period not in residues.ENDING_PERIODS:
             woes.append(f"mod-10 period {period}")
         report.add(f"{system.name}/{arm.name}", not woes, "; ".join(woes))
         passed += not woes
-    report.add(
-        f"{system.name} coefficient rules",
-        not failures,
-        "; ".join(f"{f.arm}:{f.rule}" for f in failures),
-    )
+    report.add(f"{system.name} coefficient rules", not broken, "; ".join(broken))
     return passed
 
 

@@ -57,9 +57,6 @@ class QuadPoly(NamedTuple):
         """f(x+1) - f(x)."""
         return self.a * (2 * x + 1) + self.b
 
-    def values(self, start: int, count: int) -> list[int]:
-        return [self(x) for x in range(start, start + count)]
-
     def __str__(self) -> str:
         s = f"{self.a}x^2"
         s += f" - {-self.b}x" if self.b < 0 else f" + {self.b}x"
@@ -145,48 +142,3 @@ class ArmSystem(NamedTuple):
     d2: int
     rotation: str  # "P" (positive) or "N" (negative); the fixture loader checks it
     arms: tuple[Arm, ...] = ()
-
-
-class RuleFailure(NamedTuple):
-    arm: str
-    rule: str
-    detail: str
-
-
-def coefficient_rules_check(system: ArmSystem) -> tuple[RuleFailure, ...]:
-    """The breaches of the three coefficient rules on the arms of a system.
-
-    The rules hold exactly when the tuple is empty:
-
-    1. the leading coefficient equals d2/2 in every fit;
-    2. b steps by d2 from one fit to the next;
-    3. for fits beyond the first, c equals the sequence term preceding the
-       three fitted samples.
-    """
-    failures: list[RuleFailure] = []
-    for arm in system.arms:
-        for idx, fit in enumerate(arm.fits):
-            if 2 * fit.a != system.d2:
-                failures.append(
-                    RuleFailure(arm.name, "a=d2/2", f"fit {idx + 1} has a={fit.a}, d2={system.d2}")
-                )
-        for idx in range(1, len(arm.fits)):
-            if arm.fits[idx].b - arm.fits[idx - 1].b != system.d2:
-                failures.append(
-                    RuleFailure(
-                        arm.name,
-                        "b-step=d2",
-                        f"fit {idx} -> {idx + 1} steps b by "
-                        f"{arm.fits[idx].b - arm.fits[idx - 1].b}",
-                    )
-                )
-            if idx - 1 < len(arm.terms) and arm.fits[idx].c != arm.terms[idx - 1]:
-                failures.append(
-                    RuleFailure(
-                        arm.name,
-                        "c=preceding-term",
-                        f"fit {idx + 1} has c={arm.fits[idx].c}, "
-                        f"preceding term is {arm.terms[idx - 1]}",
-                    )
-                )
-    return tuple(failures)

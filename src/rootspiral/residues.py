@@ -12,8 +12,6 @@ coprime-to-30 pattern of a sequence, for instance, recurs with period
 dividing 30, never up to 900.
 """
 
-from enum import Enum
-
 from .quad import QuadPoly
 
 # The mod-10 periods the paper claims for the endings of its arms.
@@ -72,20 +70,11 @@ def divisibility_positions(p: QuadPoly, k: int) -> frozenset[int]:
     return frozenset(x for x, r in enumerate(residue_cycle(p, k), start=1) if r == 0)
 
 
-class SixClass(Enum):
-    """Residue class mod 6; every prime > 3 lands in SQ1 or SQ2."""
+def six_classify(n: int) -> str:
+    """Residue class mod 6: "SQ1" for n = 5, "SQ2" for n = 1 (mod 6), else "Other".
 
-    SQ1 = "SQ1"  # n = 5 (mod 6): 5, 11, 17, 23, ...
-    SQ2 = "SQ2"  # n = 1 (mod 6): 1, 7, 13, 19, ...
-    OTHER = "Other"
-
-
-def six_classify(n: int) -> SixClass:
+    Every prime above 3 lands in SQ1 (5, 11, 17, ...) or SQ2 (7, 13, 19, ...).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    r = n % 6
-    if r == 5:
-        return SixClass.SQ1
-    if r == 1:
-        return SixClass.SQ2
-    return SixClass.OTHER
+    return {5: "SQ1", 1: "SQ2"}.get(n % 6, "Other")

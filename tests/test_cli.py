@@ -127,11 +127,29 @@ class TestVerifyTables:
         out = capsys.readouterr().out
         assert code == 1
         assert (
-            "[FAIL] P18-A/A1  b-step=d2: fit 1 -> 2 steps b by 20; "
-            "b-step=d2: fit 2 -> 3 steps b by 16\n"
+            "[FAIL] P18-A/A1  fit 2 is 9x^2 + 23x + 5, fit 1 re-indexed by 1 is 9x^2 + 21x + 5\n"
         ) in out
-        assert "[FAIL] P18-A coefficient rules  A1:b-step=d2; A1:b-step=d2\n" in out
+        assert "[FAIL] P18-A coefficient rules  A1:fit 2\n" in out
         assert "table 6A: 0/1 arms pass" in out
+
+    @pytest.mark.parametrize("fit, printed, fields, rebuilt", [
+        (3, "9x^2 + 39x + 40", ("39", "40"), "9x^2 + 39x + 35"),  # c is not the preceding term
+        (4, "9x^2 + 55x + 83", ("55", "83"), "9x^2 + 57x + 83"),  # b steps by 16, not d2
+    ], ids=["wrong-c", "wrong-b"])
+    def test_one_wrong_fit_is_the_only_one_named(
+        self, capsys, tmp_path, fit, printed, fields, rebuilt
+    ):
+        record = A1_RECORD.split("\t")
+        record[4 + 2 * fit: 6 + 2 * fit] = fields
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("\t".join(record), encoding="utf-8")
+        code = main(["--fixture-file", str(bad), "verify-tables", "--which", "6A"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert (
+            f"[FAIL] P18-A/A1  fit {fit} is {printed}, fit 1 re-indexed by {fit - 1} is {rebuilt}\n"
+        ) in out
+        assert f"[FAIL] P18-A coefficient rules  A1:fit {fit}\n" in out
 
     def test_even_b_arm_fails_its_mod10_period(self, capsys, tmp_path):
         # 9x^2 + 4x - 7 keeps the coefficient rules, but with b even its endings

@@ -71,7 +71,7 @@ PUBLIC = """
     admissible_primes density_scan detect_arm_chain factorize is_prime root_classes
     same_splitting load_fixtures composite_factor composite_params ns_polar
     pronic_triangle_angle sqrt_spiral_counterparts ulam_coord ArmSystem QuadPoly
-    coefficient_rules_check decimate newton_fit shift SixClass digit_sum digit_sum_gaps
+    decimate newton_fit shift digit_sum digit_sum_gaps
     divisibility_positions residue_cycle six_classify C2 SpiralPoint
     angle_between angle_increment estimate_c2 polar_of square_arm_angle total_angle winding_gap
 """.split()

@@ -164,7 +164,7 @@ class TestUlamCoord:
 class TestCounterparts:
     def test_euler_polynomial_three_arms(self):
         arms = sqrt_spiral_counterparts(EULER)
-        assert [a.values(0, 6) for a in arms] == [
+        assert [[a(t) for t in range(6)] for a in arms] == [
             [41, 53, 83, 131, 197, 281],
             [43, 61, 97, 151, 223, 313],
             [47, 71, 113, 173, 251, 347],
@@ -178,13 +178,13 @@ class TestCounterparts:
 
     def test_pronic_arm_prefixes(self):
         arms = sqrt_spiral_counterparts(PRONIC)
-        assert arms[0].values(1, 3) == [12, 42, 90]
-        assert arms[1].values(1, 3) == [20, 56, 110]
-        assert arms[2].values(0, 3) == [6, 30, 72]
+        assert [arms[0](t) for t in range(1, 4)] == [12, 42, 90]
+        assert [arms[1](t) for t in range(1, 4)] == [20, 56, 110]
+        assert [arms[2](t) for t in range(3)] == [6, 30, 72]
 
     def test_partition(self):
         arms = sqrt_spiral_counterparts(EULER)
-        union = sorted(v for arm in arms for v in arm.values(0, 20))
+        union = sorted(arm(t) for arm in arms for t in range(20))
         assert union == [EULER(x) for x in range(60)]
 
 
