@@ -20,12 +20,15 @@ from .sieve import primes_up_to
 # prime factor up to 47.  Below 4296595241 one base does, picked from
 # _MR_BASES_32 by a hash of n (Forisek and Jancina, "Fast Primality Testing
 # for Integers That Fit into a Machine Word", 2015).  Below 2^64 Jim
-# Sinclair's seven bases do (miller-rabin.appspot.com); each is below
-# 4296595241, so none is ever reduced mod n.  From 2^64 the bases are the
-# twelve primes 2..37, which decide every n below _MR_LIMIT = 399165290221 *
-# 798330580441 ~ 3.19e23, the least strong pseudoprime to all of them (OEIS
-# A014233; Jaeschke, Math. Comp. 61, 1993).  A hashed base at or above n is
-# reduced mod n, and one that reduces below 2 is skipped.
+# Sinclair's seven bases do (miller-rabin.appspot.com).  From 2^64 the bases
+# are the twelve primes 2..37, which decide every n below _MR_LIMIT =
+# 399165290221 * 798330580441 ~ 3.19e23, the least strong pseudoprime to all
+# of them (OEIS A014233; Jaeschke, Math. Comp. 61, 1993).  pow(a, d, n)
+# reduces a base itself, and only one that is 0 or 1 mod n would need
+# skipping.  None is: Sinclair's bases lie below 4296595241 and 2..37 below
+# 2^64, the least n of their tiers; the hashed bases are at most 55637, and
+# no n of their tier up to there (from 2809, with no prime factor up to 47;
+# the tests check each) draws one that is 0 or 1 mod n.
 _SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
 _MR_BASES_32 = (
@@ -86,7 +89,8 @@ def is_prime(n: int) -> bool:
     An n below 53^2 that survives it is prime; above, n runs the Miller-Rabin
     bases of its tier (_MR_TIERS): one base hashed from n below 4296595241
     (Forisek and Jancina, 2015), Sinclair's seven bases below 2^64, and the
-    twelve primes 2..37 up to _MR_LIMIT (Jaeschke; OEIS A014233).  A 'composite'
+    twelve primes 2..37 up to _MR_LIMIT (Jaeschke; OEIS A014233).  No base is
+    0 or 1 mod an n of its tier, so none is reduced or skipped.  A 'composite'
     answer is exact for every n.  From _MR_LIMIT = 318665857834031151167461
     on, the first n that the twelve primes wrongly call prime, an n that
     passes them all raises OverflowError.
@@ -108,9 +112,6 @@ def is_prime(n: int) -> bool:
     s = (d & -d).bit_length() - 1
     d >>= s
     for a in bases:
-        a %= n
-        if a < 2:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -138,12 +139,11 @@ def _pollard_brent(ns: list[int]) -> list[int]:
     steps = dict.fromkeys(ns, 0)  # the distinct cofactors, in the order given
     found: dict[int, int] = {}
     todo = list(steps)
-    for c in range(1, 100):
+    for c in itertools.count(1):  # steps[n] carries across c, so the budget ends it
         todo = [n for i in range(0, len(todo), _RHO_BATCH)
                 for n in _brent_walk(todo[i:i + _RHO_BATCH], c, steps, found)]
         if not todo:
             return [found[n] for n in ns]
-    raise ArithmeticError(f"rho failed to split {todo[0]}")  # pragma: no cover
 
 
 def _brent_walk(ns: list[int], c: int, steps: dict[int, int], found: dict[int, int]) -> list[int]:

@@ -5,11 +5,13 @@ with all four printed fits and the first six terms), the spot-check window
 definitions of the prime-share table, and the legible rows of the K5
 intersection-point factor column.  Records are data, never code.
 Each arm record is checked as it is read: rotation P or N, a = d2/2, six
-terms, fit 1 reproducing every term, and no second record for the same
-SYSTEM/ARM; each window is at most MAX_SCAN terms long, and each window and
-k5ref record names an arm the file defines.  A record that breaks a rule
-or holds a non-integer number raises FixtureError with its line number; a
-file that cannot be read or decoded raises FixtureError without one.
+terms, fit 1 positive and increasing from x = 1 (a >= 1, f(2) - f(1) =
+3a + b >= 1 and f(1) >= 1, as every shipped arm is), fit 1 reproducing
+every term, and no second record for the same SYSTEM/ARM; each window is
+at most MAX_SCAN terms long, and each window and k5ref record names an arm
+the file defines.  A record that breaks a rule or holds a non-integer
+number raises FixtureError with its line number; a file that cannot be
+read or decoded raises FixtureError without one.
 """
 
 from functools import lru_cache
@@ -129,6 +131,10 @@ def _parse_arm_record(fields: list[str]) -> tuple[str, str, int, Arm]:
     if len(terms) != 6:
         raise ValueError(f"{system}/{armname}: needs 6 terms, got {len(terms)}")
     fits = tuple(QuadPoly(a, coeffs[2 * i], coeffs[2 * i + 1]) for i in range(4))
+    if a < 1 or 3 * a + fits[0].b < 1 or fits[0](1) < 1:
+        raise ValueError(
+            f"{system}/{armname}: fit 1 is {fits[0]}, not positive and increasing from x = 1"
+        )
     for x, term in enumerate(terms, start=1):
         if fits[0](x) != term:
             raise ValueError(f"{system}/{armname}: term {x} is {term}, fit 1 gives {fits[0](x)}")

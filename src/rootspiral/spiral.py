@@ -49,7 +49,9 @@ TWO_PI = 2.0 * math.pi
 
 # Limit of total_angle(k) - 2*sqrt(k), rounded to float64.  C2 + _C2_LO is
 # C = -2.15778299665944622092914278683 (mpmath: a direct sum to 2e4 plus the
-# series) to ~32 digits.  Documented digits: -2.157782996659.
+# series) to ~32 digits.  Documented digits: -2.157782996659.  Summing the
+# arctan series of each term k >= 2 power by power gives, independently,
+# C = pi/4 + zeta(1/2) - 1 + sum_{j>=1} (-1)^j (zeta(j + 1/2) - 1)/(2j + 1).
 C2 = -2.157782996659446
 _C2_LO = -4.7902434293704376e-17
 

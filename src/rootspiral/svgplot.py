@@ -20,9 +20,13 @@ _PALETTE = ("#d4442c", "#2c6fd4", "#2ca05a", "#b06fd4", "#d49a2c", "#2cb5b5")
 
 
 def _fmt(x: float) -> str:
-    """Fixed-precision coordinate: 4 decimals, trailing zeros trimmed."""
-    s = f"{x:.4f}".rstrip("0").rstrip(".")
-    return "0" if s == "-0" else s
+    """Fixed-precision coordinate: 4 decimals, trailing zeros trimmed.
+
+    Every value formatted is positive: a radius, a stroke width, SIZE, or a
+    canvas coordinate, which lies inside (0, SIZE) because each plot's
+    half-extent passes its farthest point.
+    """
+    return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
 class _Canvas:

@@ -437,6 +437,17 @@ class TestPlot:
             "2e5ab19cbf58b355a29514741f2007485a651245277e63fe21e7b5d961fc6f9a"
         )
 
+    def test_arms_with_fewer_than_two_values_draw_no_polyline(self, capsys, tmp_path):
+        # up to 6, A1, A4 and A5 of P18-A have one value each and the others none
+        out = tmp_path / "arms.svg"
+        assert main(["plot", "arms", "--n", "6", "--system", "P18-A", "--out", str(out)]) == 0
+        capsys.readouterr()
+        svg = out.read_text()
+        assert svg.count("<circle") == 6 and "<polyline" not in svg
+        arms = next(s for s in load_fixtures().systems if s.name == "P18-A").arms
+        assert [a.name for a in arms if a.poly(1) <= 6] == ["A1", "A4", "A5"]
+        assert all(a.poly(2) > 6 for a in arms)
+
     def test_fig7(self, capsys, tmp_path):
         out = tmp_path / "f7.svg"
         assert main(["plot", "fig7", "--n", "600", "--out", str(out)]) == 0
@@ -559,6 +570,26 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out.exists()
         assert captured.err == f"fixture error: {message}\n"
+
+    @pytest.mark.parametrize("record, poly", [
+        ("arm\tP18-A\tA1\tP\t18\t9\t-200\t-5000\t0\t0\t0\t0\t0\t0"
+         "\t-5191,-5364,-5519,-5656,-5775,-5876", "9x^2 - 200x - 5000"),
+        ("arm\tP18-A\tA1\tP\t-18\t-9\t3\t41\t0\t0\t0\t0\t0\t0\t35,11,-31,-91,-169,-265",
+         "-9x^2 + 3x + 41"),
+    ], ids=["negative", "falling"])
+    def test_arm_not_increasing_from_1_exits_2_for_plot_arms(self, capsys, tmp_path, record, poly):
+        # plot arms places every arm value up to --n on the spiral by its square root
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(record + "\n", encoding="utf-8")
+        out = tmp_path / "arms.svg"
+        code = main(["--fixture-file", str(bad), "plot", "arms", "--system", "P18-A",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"fixture error: line 1: P18-A/A1: fit 1 is {poly}, "
+            "not positive and increasing from x = 1\n"
+        )
 
     def test_second_record_for_an_arm_exits_2(self, capsys, tmp_path):
         twice = tmp_path / "twice.tsv"

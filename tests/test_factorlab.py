@@ -6,11 +6,11 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import brute_roots
 
 from rootspiral import factorlab, spiral
 from rootspiral.factorlab import (
@@ -35,10 +35,6 @@ S1 = QuadPoly(11, -13, 13)
 K5 = QuadPoly(11, 3, -1)
 B33 = QuadPoly(9, -9, 89)
 G1 = QuadPoly(10, -20, 23)
-
-
-def brute_roots(p: QuadPoly, q: int) -> list[int]:
-    return sorted(t for t in range(q) if p(t) % q == 0)
 
 
 def _same_form_pair(f: QuadPoly, s: int, t: int, lam: int) -> tuple[QuadPoly, QuadPoly]:
@@ -205,6 +201,28 @@ class TestWitnessSchedule:
         digest = hashlib.sha256(",".join(map(str, factorlab._MR_BASES_32)).encode()).hexdigest()
         assert digest == "3be1940d44befaf6e36abef6570e1220ba84ad741de524bbfb19e8b97257364e"
 
+    def test_no_base_is_0_or_1_mod_an_n_of_its_tier(self):
+        # is_prime runs every base unreduced.  Sinclair's bases lie below their
+        # tier's least n, 4296595241, and 2..37 below 2^64; every hashed base
+        # lies below n from 55638 on, and below that no n the hashed tier meets
+        # (no prime factor up to 47) draws a base that is 0 or 1 mod n
+        (lo_hashed, _), (lo_sinclair, hashed), (lo_small, sinclair), (_, small) = (
+            factorlab._MR_TIERS
+        )
+        assert hashed is factorlab._MR_BASES_32 and min(hashed) >= 2
+        assert max(sinclair) < lo_sinclair and max(small) < lo_small
+        assert max(hashed) == 55637
+        flags = set(primes_up_to(55637))
+        for n in range(lo_hashed, 55638):
+            if math.gcd(n, factorlab._SMALL_PRIMORIAL) != 1:
+                continue
+            h = ((n >> 16) ^ n) * 0x45D9F3B  # is_prime's hash of n
+            h = ((h >> 16) ^ h) * 0x45D9F3B
+            a = hashed[((h >> 16) ^ h) & 255]
+            assert a % n > 1, n
+            # the base the copied hash picks decides n, as the table was built to
+            assert _strong_probable_prime(n, a) == (n in flags), n
+
     @pytest.mark.parametrize("k", range(1, 12))
     def test_pseudoprime_to_the_first_k_bases_is_composite(self, k):
         assert is_prime(A014233[k - 1]) is False
@@ -332,6 +350,23 @@ class TestFactorize:
             with pytest.raises(ArithmeticError, match=f"no factor of {first} in"):
                 factorlab._pollard_brent([1009 * 1013, first, second])
 
+    def test_rho_tries_c_until_its_budget(self, monkeypatch):
+        # a prime never splits: each c ends in a block gcd of n and a retry with
+        # c + 1, and steps[n] carries across c, so only the budget ends the
+        # search, here at c = 200
+        tried = []
+        walk = factorlab._brent_walk
+
+        def counting_walk(ns, c, steps, found):
+            tried.append(c)
+            return walk(ns, c, steps, found)
+
+        monkeypatch.setattr(factorlab, "_brent_walk", counting_walk)
+        monkeypatch.setattr(factorlab, "_RHO_BUDGET", 1 << 14)
+        with pytest.raises(ArithmeticError, match="no factor of 1009 in 16384 steps"):
+            factorlab._pollard_brent([1009])
+        assert tried == list(range(1, 201))
+
     def test_rho_budget_is_far_above_64_bit_needs(self, monkeypatch):
         # the deepest splits below 2^63, two primes near 2^31.5, fit in 1/64 of it
         monkeypatch.setattr(factorlab, "_RHO_BUDGET", factorlab._RHO_BUDGET // 64)
@@ -351,7 +386,7 @@ def _oracle_pollard_brent(n: int, paths: collections.Counter | None = None) -> i
     gcd hits n ("backtrack") and the backtrack hits n again ("next c")."""
     paths = collections.Counter() if paths is None else paths
     steps = 0
-    for c in range(1, 100):
+    for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
@@ -379,7 +414,6 @@ def _oracle_pollard_brent(n: int, paths: collections.Counter | None = None) -> i
         if g != n:
             return g
         paths["next c"] += 1
-    raise ArithmeticError(f"rho failed to split {n}")
 
 
 # primes of 11 to 32 bits, and small odd primes whose products often make a
@@ -508,18 +542,14 @@ class TestRootClasses:
         # the Euler-split arm recurs with prime factor 41 in the 14/27 pattern
         rc = root_classes(QuadPoly(9, -15, 47), 41)
         assert rc.gaps == (14, 27)
-        t = np.arange(410, dtype=np.int64)
-        hits = np.nonzero((9 * t * t - 15 * t + 47) % 41 == 0)[0]
-        assert set(np.diff(hits).tolist()) == {14, 27}
+        hits = brute_roots(QuadPoly(9, -15, 47), 41, 410)
+        assert {b - a for a, b in itertools.pairwise(hits)} == {14, 27}
 
     def test_tonelli_branch_matches_brute(self):
         # 10007t^2 + 9t - 1 is linear mod 10007; 10007(t^2 + 2t + 3) vanishes there
         for poly in (B3, QuadPoly(10007, 9, -1), QuadPoly(10007, 20014, 30021)):
             for q in (10007, 10037, 100003):
-                rc = root_classes(poly, q)
-                t = np.arange(q, dtype=np.int64)
-                brute = np.nonzero((poly.a * t * t + poly.b * t + poly.c) % q == 0)[0].tolist()
-                assert list(rc.roots) == brute, (poly, q)
+                assert list(root_classes(poly, q).roots) == brute_roots(poly, q), (poly, q)
         assert root_classes(QuadPoly(10007, 9, -1), 10007).gaps == (10007,)
         assert root_classes(QuadPoly(10007, 20014, 30021), 10007).gaps == (1,)
 
@@ -572,10 +602,9 @@ class TestRootClasses:
             p = QuadPoly(rng.randint(1, 15), rng.randint(-60, 60), rng.randint(-60, 60))
             q = rng.choice(primes)
             rc = root_classes(p, q)
-            t = np.arange(10 * q, dtype=np.int64)
-            hits = np.nonzero((p.a * t * t + p.b * t + p.c) % q == 0)[0]
+            hits = brute_roots(p, q, 10 * q)
             if len(rc.roots) in (1, 2) and len(hits) > 1:
-                observed = set(np.diff(hits).tolist())
+                observed = {b - a for a, b in itertools.pairwise(hits)}
                 assert observed == set(rc.gaps)
 
 
@@ -610,9 +639,7 @@ class TestAdmissiblePrimes:
                 p = arm.poly
                 got = set(admissible_primes(p, 500).primes)
                 for q in primes:
-                    t = np.arange(q, dtype=np.int64)
-                    has_root = bool(np.any((p.a * t * t + p.b * t + p.c) % q == 0))
-                    assert (q in got) == has_root, (system.name, arm.name, q)
+                    assert (q in got) == bool(brute_roots(p, q)), (system.name, arm.name, q)
 
 
 class TestSameSplitting:

@@ -175,6 +175,10 @@ class TestParseErrors:
              "invalid literal"),
             ("arm\tP18-A\tA1\tP\t18\t8\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335",
              "does not match d2"),
+            ("arm\tP18-A\tA1\tP\t18\t9\t-28\t20\t0\t0\t0\t0\t0\t0\t1,0,17,52,105,176",
+             "fit 1 is 9x\\^2 - 28x \\+ 20, not positive"),  # f(2) < f(1)
+            ("arm\tP18-A\tA1\tP\t18\t9\t-26\t17\t0\t0\t0\t0\t0\t0\t0,1,20,57,112,185",
+             "fit 1 is 9x\\^2 - 26x \\+ 17, not positive"),  # f(1) = 0
             ("window\tP18-B\tB3\tstart\t-5\t12", "start_x must be >= 1"),
             ("window\tP18-B\tB3\tstart\t0\t12", "start_x must be >= 1"),
             ("window\tP18-B\tB3\tstart\t1\t0", "length must be >= 1"),
@@ -184,6 +188,7 @@ class TestParseErrors:
             ("k5ref\tP18-X\tB3\t2\t49\t7^2", "k5ref names arm P18-X/B3, which is not defined"),
         ],
         ids=["window-start", "k5ref-value", "rotation", "two-terms", "arm-integer", "a-vs-d2",
+             "first-step-down", "first-value-zero",
              "window-negative-start", "window-zero-start", "window-zero-length",
              "window-too-long", "window-label", "window-fields", "k5ref-arm"],
     )
@@ -213,6 +218,11 @@ class TestParseErrors:
         text = b3 + f"window\t{system}\t{arm}\tstart\t1\t8\n" + "window\tP18-B\tB3\tstart\t1\t8\n"
         with pytest.raises(FixtureError, match=f"line 2: window names arm {system}/{arm}"):
             parse_fixtures(text)
+
+    def test_arm_with_the_least_first_value_and_step_is_accepted(self):
+        # 9x^2 - 26x + 18: f(1) = 1 and f(2) - f(1) = 1, the contract's bounds
+        record = "arm\tP18-A\tA1\tP\t18\t9\t-26\t18\t0\t0\t0\t0\t0\t0\t1,2,21,58,113,186\n"
+        assert parse_fixtures(record).systems[0].arms[0].terms == (1, 2, 21, 58, 113, 186)
 
     def test_window_of_the_scan_bound_is_accepted(self):
         b3 = "arm\tP18-B\tB3\tP\t18\t9\t9\t-1\t27\t17\t45\t53\t63\t107\t17,53,107,179,269,377\n"

@@ -288,6 +288,20 @@ class TestClosedForm:
             # the eight-term series is exact to far below double precision at N0 + 1
             assert abs(mp_direct_sums()[N0 + 1] - mp_total_angle(N0 + 1)) < mpmath.mpf("1e-30")
 
+    def test_constant_from_zeta_series(self):
+        # arctan(1) for k = 1, and for k >= 2 the arctan series summed power by
+        # power: the k^-1/2 sum leaves zeta(1/2) - 1 beside 2 sqrt(n), so
+        # C = pi/4 + zeta(1/2) - 1 + sum_{j>=1} (-1)^j (zeta(j + 1/2) - 1)/(2j + 1),
+        # with no direct sum and no Euler-Maclaurin coefficient
+        with mpmath.workdps(50):
+            half = mpmath.mpf(1) / 2
+            tail = mpmath.nsum(
+                lambda j: (-1) ** j * (mpmath.zeta(j + half) - 1) / (2 * j + 1), [1, mpmath.inf]
+            )
+            constant = mpmath.pi / 4 + mpmath.zeta(half) - 1 + tail
+            literal = mpmath.mpf(spiral.C2) + mpmath.mpf(spiral._C2_LO)
+            assert abs(constant - literal) < mpmath.mpf("1e-30")
+
     def test_table_equals_fsum_of_the_increments(self):
         incs = []
         for n in range(1, N0 + 2):  # the table, and the closed form at N0 + 1
