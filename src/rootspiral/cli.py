@@ -16,7 +16,6 @@ a read-only install).
 import argparse
 import importlib
 import sys
-from pathlib import Path
 
 from .commands import C2_VERDICT_K, SystemExit2, window_bounds
 
@@ -142,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     rendered = report.to_json() if args.json else report.to_text()
     if args.out and args.cmd != "plot":
         try:
-            Path(args.out).write_text(rendered, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2

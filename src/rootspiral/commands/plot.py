@@ -2,7 +2,6 @@
 
 import argparse
 import hashlib
-from pathlib import Path
 
 from .. import svgplot
 from ..fixtures import load_fixtures
@@ -32,13 +31,14 @@ def run(args: argparse.Namespace) -> Report:
     else:  # fig7
         _, k5 = fx.find_arm("K5")
         svg = svgplot.plot_fig7(args.n, k5.poly)
-    out = Path(args.out) if args.out else Path(f"rootspiral-{args.what}.svg")
+    out = args.out or f"rootspiral-{args.what}.svg"
     data = svg.encode("utf-8")
     try:
-        out.write_bytes(data)
+        with open(out, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise SystemExit2(f"cannot write {out}: {exc}") from None
-    report.data["path"] = str(out)
+    report.data["path"] = out
     report.data["bytes"] = len(data)
     report.data["sha256"] = hashlib.sha256(data).hexdigest()
     report.add("plot", True, f"wrote {out}")

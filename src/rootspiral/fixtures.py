@@ -12,10 +12,15 @@ at most MAX_SCAN terms long, and each window and k5ref record names an arm
 the file defines.  A record that breaks a rule or holds a non-integer
 number raises FixtureError with its line number; a file that cannot be
 read or decoded raises FixtureError without one.
+
+load_fixtures reads the shipped file and a --fixture-file the same way,
+with open: the shipped one at SHIPPED_PATH, beside this module.  Setuptools
+installs package data as plain files, so the package is not zip-safe, and
+an unreadable shipped file is a FixtureError like any other.
 """
 
+import os
 from functools import lru_cache
-from importlib.resources import files
 from typing import NamedTuple
 
 from .quad import Arm, ArmSystem, QuadPoly
@@ -27,6 +32,9 @@ WINDOW_LABELS = ("start", "2.5e6", "2.5e7", "2.5e8", "2.5e9")
 # Most terms one density window or factors --window may scan: near 2^63 Pollard
 # rho costs ~1 ms a term, so a full window there takes 9-13 s (2-vCPU VM).
 MAX_SCAN = 10**4
+
+# the shipped fixture file: package data, installed as a plain file beside this module
+SHIPPED_PATH = os.path.join(os.path.dirname(__file__), "data", "arms.tsv")
 
 # the source tables and the system-name prefixes of their arms
 TABLE_PREFIXES = {
@@ -205,20 +213,14 @@ def parse_fixtures(text: str) -> FixtureSet:
     )
 
 
-def fixture_text() -> str:
-    return files("rootspiral").joinpath("data/arms.tsv").read_text(encoding="utf-8")
-
-
 @lru_cache(maxsize=4)
 def load_fixtures(path: str | None = None) -> FixtureSet:
     """The shipped fixture set, or one parsed from an alternate file.
 
     Raises FixtureError for a malformed record or an unreadable file.
     """
-    if path is None:
-        return parse_fixtures(fixture_text())
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(SHIPPED_PATH if path is None else path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FixtureError(None, str(exc)) from exc

@@ -19,7 +19,7 @@ import rootspiral
 from rootspiral import factorlab, spiral
 from rootspiral.cli import _window, build_parser, main
 from rootspiral.commands.density import _first_reaching
-from rootspiral.fixtures import fixture_text, load_fixtures
+from rootspiral.fixtures import SHIPPED_PATH, load_fixtures
 from rootspiral.quad import QuadPoly
 
 A1_RECORD = "arm\tP18-A\tA1\tP\t18\t9\t3\t-7\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"
@@ -563,7 +563,8 @@ class TestUsageErrors:
     )
     def test_name_the_fixture_file_lacks_exits_2(self, capsys, tmp_path, drop, argv, message):
         partial = tmp_path / "partial.tsv"
-        lines = fixture_text().splitlines(keepends=True)
+        with open(SHIPPED_PATH, encoding="utf-8") as fh:
+            lines = fh.readlines()
         partial.write_text("".join(line for line in lines if drop not in line), encoding="utf-8")
         out = tmp_path / "out"
         code = main(["--fixture-file", str(partial), *argv, "--out", str(out)])

@@ -4,11 +4,13 @@ from collections import Counter
 
 import pytest
 
+from rootspiral import fixtures
+from rootspiral.cli import main
 from rootspiral.fixtures import (
     MAX_SCAN,
+    SHIPPED_PATH,
     FixtureError,
     FixtureLookupError,
-    fixture_text,
     load_fixtures,
     parse_fixtures,
 )
@@ -35,11 +37,10 @@ def test_extras_present(fx):
 
 
 def test_every_record_line_is_loaded(fx):
-    kinds = Counter(
-        line.split("\t", 1)[0]
-        for line in fixture_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    )
+    with open(SHIPPED_PATH, encoding="utf-8") as fh:
+        kinds = Counter(
+            line.split("\t", 1)[0] for line in fh if line.strip() and not line.startswith("#")
+        )
     loaded = {
         "arm": sum(len(s.arms) for s in fx.systems),
         "extra": sum(len(s.arms) for s in fx.extras),
@@ -148,6 +149,21 @@ class TestParseErrors:
             load_fixtures(path)
         assert exc.value.lineno is None
         assert str(exc.value) == f"{message}: {path!r}"
+
+    def test_unreadable_shipped_file_raises_without_a_line(self, monkeypatch, capsys, tmp_path):
+        # the shipped file goes through the same open as a --fixture-file; a
+        # failed load is not cached, so later tests read the real file again
+        missing = str(tmp_path / "arms.tsv")
+        monkeypatch.setattr(fixtures, "SHIPPED_PATH", missing)
+        load_fixtures.cache_clear()
+        with pytest.raises(FixtureError) as exc:
+            load_fixtures()
+        assert exc.value.lineno is None
+        assert str(exc.value) == f"[Errno 2] No such file or directory: {missing!r}"
+        code = main(["factors", "B3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"fixture error: [Errno 2] No such file or directory: {missing!r}\n"
 
     def test_bad_integer_reports_line(self):
         bad = "arm\tP18-A\tA1\tP\t18\t9\t3\tx\t21\t5\t39\t35\t57\t83\t5,35,83,149,233,335\n"

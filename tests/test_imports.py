@@ -16,7 +16,10 @@ the commands that stream angle sums past 4096, loads inspect.  Only the
 library's composite-curve functions build a Fraction, so no command loads
 fractions (with the decimal and numbers modules it imports, ~3 ms).  No
 module imports __future__: on Python 3.10 and later every annotation in the
-package evaluates at import.
+package evaluates at import.  The fixture loader reads the shipped file with
+open and the commands write with open, so no command loads pathlib or
+importlib.resources: under python -S, where site preloads nothing, each
+command prints what it prints with site and loads neither.
 """
 
 import os
@@ -32,15 +35,17 @@ SRC = str(Path(rootspiral.__file__).resolve().parents[1])
 
 # Runs rootspiral.cli.main on the arguments in a fresh interpreter, then
 # lists on the second-to-last line of stderr the rootspiral submodules, numpy,
-# dataclasses, inspect, fractions and __future__, where imported, prints on
-# the last line how many fixture sets were parsed, and exits with main's code.
+# dataclasses, inspect, fractions, __future__, pathlib and importlib.resources,
+# where imported, prints on the last line how many fixture sets were parsed,
+# and exits with main's code.
 RUN_CLI = """
 import sys
 from rootspiral.cli import main
 from rootspiral.fixtures import load_fixtures
 code = main(sys.argv[1:])
 print(*sorted(m for m in sys.modules
-              if m in ("numpy", "dataclasses", "inspect", "fractions", "__future__")
+              if m in ("numpy", "dataclasses", "inspect", "fractions", "__future__",
+                       "pathlib", "importlib.resources")
               or m.startswith("rootspiral.")),
       file=sys.stderr)
 print(load_fixtures.cache_info().misses, file=sys.stderr)
@@ -92,19 +97,20 @@ for module, names in rootspiral._EXPORTS.items():
 """
 
 
-def run_python(script, *args, cwd):
+def run_python(script, *args, cwd, flags=()):
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *flags, "-c", script, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
-def run_cli(tmp_path, argv) -> tuple[set[str], int]:
-    """The modules RUN_CLI lists after a successful run of the command, and
-    the number of fixture sets it parsed."""
-    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path)
+def run_cli(tmp_path, argv, flags=()) -> tuple[str, set[str], int]:
+    """The stdout of a successful run of the command under the interpreter
+    flags, the modules RUN_CLI lists after it, and the number of fixture sets
+    it parsed."""
+    proc = run_python(RUN_CLI, "--json", *argv, cwd=tmp_path, flags=flags)
     assert proc.returncode == 0, proc.stderr
     *_, modules, parses = proc.stderr.splitlines()
-    return set(modules.split()), int(parses)
+    return proc.stdout, set(modules.split()), int(parses)
 
 
 def test_import_and_fixture_load_leave_numpy_out(tmp_path):
@@ -141,21 +147,21 @@ def test_cli_import_with_fixtures_loads_only_four_modules(tmp_path):
 
 @pytest.fixture(scope="module")
 def command_run(tmp_path_factory):
-    """run_cli, launched once per COMMANDS entry; the two tests below read
-    the same run."""
+    """run_cli, launched once per COMMANDS entry and interpreter flags; the
+    tests below read the same run."""
     runs = {}
 
-    def run(argv):
-        if argv not in runs:
-            runs[argv] = run_cli(tmp_path_factory.mktemp("cli"), argv)
-        return runs[argv]
+    def run(argv, flags=()):
+        if (argv, flags) not in runs:
+            runs[argv, flags] = run_cli(tmp_path_factory.mktemp("cli"), argv, flags)
+        return runs[argv, flags]
 
     return run
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_commands_without_angle_sums_leave_numpy_out(command_run, argv):
-    loaded, _ = command_run(argv)
+    _, loaded, _ = command_run(argv)
     assert not loaded & {"numpy", "dataclasses", "inspect", "fractions", "__future__"}
 
 
@@ -163,11 +169,21 @@ def test_commands_without_angle_sums_leave_numpy_out(command_run, argv):
 def test_each_command_loads_one_handler_and_parses_fixtures_only_if_it_reads_them(
     command_run, argv
 ):
-    loaded, parses = command_run(argv)
+    _, loaded, parses = command_run(argv)
     handlers = {m for m in loaded if m.startswith("rootspiral.commands.")}
     assert handlers == {f"rootspiral.commands.{argv[0].replace('-', '_')}"}
     kind = argv[1] if argv[0] == "plot" else argv[0]
     assert parses == (0 if kind in FIXTURE_FREE else 1)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_commands_without_site_match_the_site_run_and_load_no_pathlib(command_run, argv):
+    # python -S puts no site-packages on the path and runs no .pth file, so
+    # nothing preloads pathlib or importlib.resources, and numpy is out of
+    # reach: run_cli's exit-0 check shows that no command needs it
+    out, loaded, _ = command_run(argv, ("-S",))
+    assert out == command_run(argv)[0]
+    assert not loaded & {"pathlib", "importlib.resources"}
 
 
 @pytest.mark.parametrize(
@@ -185,7 +201,7 @@ def test_each_command_loads_one_handler_and_parses_fixtures_only_if_it_reads_the
     ids=" ".join,
 )
 def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
-    loaded, _ = run_cli(tmp_path, argv)
+    _, loaded, _ = run_cli(tmp_path, argv)
     assert not loaded & {f"rootspiral.{module}" for module in unused}
     assert not loaded & {"dataclasses", "fractions", "__future__"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
@@ -195,7 +211,7 @@ def test_commands_leave_unused_modules_out(tmp_path, argv, unused):
 @pytest.mark.parametrize("what", ["sqrt-spiral", "arms", "number-spiral"])
 def test_sieve_plots_leave_factorlab_out(tmp_path, what):
     # they mark primes from rootspiral.sieve; only plot ulam tests each index
-    loaded, _ = run_cli(tmp_path, ("plot", what, "--system", "P18-A", "--out", f"{what}.svg"))
+    _, loaded, _ = run_cli(tmp_path, ("plot", what, "--system", "P18-A", "--out", f"{what}.svg"))
     assert "rootspiral.sieve" in loaded
     assert "rootspiral.factorlab" not in loaded
 
@@ -210,7 +226,7 @@ def test_sieve_plots_leave_factorlab_out(tmp_path, what):
     ids=" ".join,
 )
 def test_commands_with_angle_sums_still_run(tmp_path, argv):
-    loaded, _ = run_cli(tmp_path, argv)
+    _, loaded, _ = run_cli(tmp_path, argv)
     assert "numpy" in loaded  # spans reaching past the prefix table are streamed
     assert not loaded & {"dataclasses", "fractions", "__future__"}
     # numpy 2 imports inspect itself (numpy._core.overrides); nothing else may
